@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analyzer_golden.hpp"
 #include "arch/gpu_arch.hpp"
 #include "model/predictor.hpp"
 #include "model/trace_analysis.hpp"
@@ -104,6 +105,23 @@ TEST(SoaReplayEveryWorkload, MatchesLegacyBitForBit) {
       SCOPED_TRACE(t.id);
       expect_soa_matches_legacy(c.kernel, t.placement, skel);
     }
+  }
+}
+
+// Every seed workload x registered arch x placement against the frozen
+// outputs of the scalar replay (tests/golden/analyzer_events.json).
+TEST(SoaReplayEveryWorkload, MatchesGoldenBitForBit) {
+  const auto golden = testutil::load_analyzer_golden(
+      std::string(GPUHMS_GOLDEN_DIR) + "/analyzer_events.json");
+  const testutil::GoldenCases cases;
+  ASSERT_EQ(golden.size(), cases.cases.size());
+  for (const testutil::GoldenCases::Case& c : cases.cases) {
+    const auto it = golden.find(c.id);
+    ASSERT_NE(it, golden.end()) << c.id;
+    EXPECT_EQ(testutil::golden_line(c.id, analyze_trace(*c.kernel, c.placement,
+                                                        *c.arch, {},
+                                                        c.skeleton)),
+              it->second);
   }
 }
 

@@ -1,7 +1,11 @@
 #include "model/trace_analysis.hpp"
 
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "analyzer_golden.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/workloads.hpp"
 
@@ -109,5 +113,81 @@ TEST(TraceAnalysis, DeterministicAcrossCalls) {
   EXPECT_EQ(e1.insts_executed, e2.insts_executed);
 }
 
+// Live cross-check against the simulator, the independent ground truth: on
+// every golden case the analyzer's order-insensitive counters must equal the
+// counters the cycle-level substrate measures on the same trace.
+TEST(TraceAnalysisEveryWorkload, CountersMatchSimulatorOnEveryArch) {
+  const testutil::GoldenCases golden;
+  for (const testutil::GoldenCases::Case& c : golden.cases) {
+    SCOPED_TRACE(c.id);
+    const PlacementEvents ev =
+        analyze_trace(*c.kernel, c.placement, *c.arch, {}, c.skeleton);
+    const ProfileCounters sim =
+        simulate(*c.kernel, c.placement, *c.arch).counters;
+    EXPECT_EQ(ev.insts_executed, sim.inst_executed);
+    EXPECT_EQ(ev.mem_insts, sim.ldst_executed);
+    EXPECT_EQ(ev.global_requests, sim.global_requests);
+    EXPECT_EQ(ev.global_transactions, sim.global_transactions);
+    EXPECT_EQ(ev.const_requests, sim.const_requests);
+    EXPECT_EQ(ev.tex_requests, sim.tex_requests);
+    EXPECT_EQ(ev.tex_transactions, sim.tex_transactions);
+    EXPECT_EQ(ev.shared_requests, sim.shared_requests);
+    EXPECT_EQ(ev.shared_conflicts, sim.shared_bank_conflicts);
+    EXPECT_EQ(ev.replay_global_divergence, sim.replay_global_divergence);
+    EXPECT_EQ(ev.replay_const_divergence, sim.replay_const_divergence);
+    EXPECT_EQ(ev.replay_shared_conflict, sim.replay_shared_conflict);
+  }
+}
+
+// Writes tests/golden/analyzer_events.json (see analyzer_golden.hpp).
+int write_golden(const char* path) {
+  const testutil::GoldenCases golden;
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open '%s' for writing\n", path);
+    return 1;
+  }
+  std::fprintf(f, "{\n  \"source\": \"test_trace_analysis --write-golden\",\n"
+                  "  \"entries\": [\n");
+  for (std::size_t i = 0; i < golden.cases.size(); ++i) {
+    const testutil::GoldenCases::Case& c = golden.cases[i];
+    const std::string scalar = testutil::golden_line(
+        c.id, analyze_trace(*c.kernel, c.placement, *c.arch));
+    const std::string soa = testutil::golden_line(
+        c.id, analyze_trace(*c.kernel, c.placement, *c.arch, {}, c.skeleton));
+    if (soa != scalar) {
+      std::fprintf(stderr, "SoA replay disagrees with the scalar replay:\n"
+                           "  scalar %s\n  soa    %s\n",
+                   scalar.c_str(), soa.c_str());
+      std::fclose(f);
+      return 1;
+    }
+    std::fprintf(f, "    %s%s\n", scalar.c_str(),
+                 i + 1 < golden.cases.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  if (std::fclose(f) != 0) {
+    std::fprintf(stderr, "failed writing '%s'\n", path);
+    return 1;
+  }
+  std::printf("wrote analyzer golden file: %s (%zu entries)\n", path,
+              golden.cases.size());
+  return 0;
+}
+
 }  // namespace
 }  // namespace gpuhms
+
+// `--write-golden PATH` regenerates the analyzer golden file instead of
+// running the tests.
+int main(int argc, char** argv) {
+  if (argc > 1 && std::string(argv[1]) == "--write-golden") {
+    if (argc < 3) {
+      std::fprintf(stderr, "usage: %s --write-golden PATH\n", argv[0]);
+      return 1;
+    }
+    return gpuhms::write_golden(argv[2]);
+  }
+  testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}
