@@ -107,8 +107,9 @@ BENCHMARK(BM_SimulateVecadd)->Arg(12)->Arg(14);
 void BM_AnalyzeTrace(benchmark::State& state) {
   const KernelInfo k = workloads::make_vecadd(1 << 13);
   const auto p = DataPlacement::defaults(k);
+  const TraceSkeleton skeleton(k);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analyze_trace(k, p, kepler_arch()));
+    benchmark::DoNotOptimize(analyze_trace(k, p, kepler_arch(), {}, &skeleton));
   }
 }
 BENCHMARK(BM_AnalyzeTrace);

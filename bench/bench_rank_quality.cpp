@@ -58,7 +58,7 @@ int main() {
       const double o = pred.predict(space[i]).total_cycles;
       measured.push_back(m);
       ours.push_back(o);
-      porple.push_back(porple_cost(s.kernel, space[i], arch));
+      porple.push_back(porple_cost(*pred.memoize_trace(), space[i], arch));
       best_measured = std::min(best_measured, m);
       if (o < ours[our_top]) our_top = i;
     }

@@ -79,6 +79,11 @@ Status validate(const GpuArch& arch) {
       return field_error(f.name,
                          "must be >= 1 (got " + std::to_string(f.value) + ")");
   }
+  // shared_conflict_degree tallies at most 64 banks.
+  if (arch.shared_banks > 64)
+    return field_error("shared_banks", "must be <= 64 (got " +
+                                           std::to_string(arch.shared_banks) +
+                                           ")");
   // The DSL, coalescer and trace formats are all fixed at 32-lane warps.
   if (arch.warp_size != 32)
     return field_error("warp_size", "must be 32 (got " +

@@ -16,8 +16,9 @@ namespace gpuhms {
 // ranking placements of one kernel, not as an execution-time estimate.
 double porple_cost(const PlacementEvents& ev, const GpuArch& arch);
 
-// Convenience: analyze + score.
-double porple_cost(const KernelInfo& kernel, const DataPlacement& placement,
-                   const GpuArch& arch);
+// Convenience: analyze + score (the skeleton is the kernel's, shared by
+// every placement scored).
+double porple_cost(const TraceSkeleton& skeleton,
+                   const DataPlacement& placement, const GpuArch& arch);
 
 }  // namespace gpuhms

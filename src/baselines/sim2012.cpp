@@ -9,7 +9,8 @@ namespace gpuhms {
 
 Sim2012Predictor::Sim2012Predictor(const KernelInfo& kernel,
                                    const GpuArch& arch, bool anchor_to_sample)
-    : kernel_(&kernel), arch_(&arch), anchor_(anchor_to_sample) {}
+    : kernel_(&kernel), arch_(&arch), anchor_(anchor_to_sample),
+      skeleton_(kernel) {}
 
 void Sim2012Predictor::profile_sample(const DataPlacement& sample) {
   set_sample(sample, simulate(*kernel_, sample, *arch_));
@@ -19,7 +20,7 @@ void Sim2012Predictor::set_sample(const DataPlacement& sample,
                                   const SimResult& measured) {
   sample_ = sample;
   sample_result_ = measured;
-  sample_ev_ = analyze_trace(*kernel_, sample, *arch_, AnalysisOptions{});
+  sample_ev_ = analyze_trace(*kernel_, sample, *arch_, {}, &skeleton_);
   anchor_scale_.reset();
 }
 
@@ -110,7 +111,7 @@ Prediction Sim2012Predictor::predict_from_events(
 
 Prediction Sim2012Predictor::predict(const DataPlacement& target) const {
   const PlacementEvents target_ev =
-      analyze_trace(*kernel_, target, *arch_, AnalysisOptions{});
+      analyze_trace(*kernel_, target, *arch_, {}, &skeleton_);
   Prediction p = predict_from_events(target_ev);
   if (anchor_) {
     if (!anchor_scale_.has_value()) {

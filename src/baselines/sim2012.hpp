@@ -35,6 +35,7 @@ class Sim2012Predictor {
   std::optional<SimResult> sample_result_;
   std::optional<PlacementEvents> sample_ev_;
   mutable std::optional<double> anchor_scale_;
+  TraceSkeleton skeleton_;  // shared by the sample and every target
 };
 
 }  // namespace gpuhms

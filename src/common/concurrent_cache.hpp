@@ -80,8 +80,8 @@ std::size_t concurrent_cache_shards(std::size_t capacity);
 std::uint64_t concurrent_cache_mix(std::uint64_t h);
 
 // GPUHMS_LEGACY_CACHE=1 selects the mutex-guarded LruCache backend
-// process-wide (the differential escape hatch, same spelling as
-// GPUHMS_LEGACY_REPLAY; "" and "0" leave the sharded cache on).
+// process-wide (the differential escape hatch; "" and "0" leave the sharded
+// cache on).
 enum class CacheBackend { kSharded, kLegacyLru };
 CacheBackend cache_backend_from_env();
 const char* to_string(CacheBackend backend);

@@ -52,6 +52,7 @@ void Predictor::set_sample(const DataPlacement& sample,
   GPUHMS_COUNTER_ADD("predictor.samples_set", 1);
   sample_ = sample;
   sample_result_ = measured;
+  if (!skeleton_) skeleton_ = std::make_shared<TraceSkeleton>(*kernel_);
   sample_ev_ = analyze_trace(*kernel_, sample, *arch_,
                              analysis_options(options_), skeleton_.get());
   // Anchor scale computed eagerly so predict() stays const and race-free
@@ -96,11 +97,6 @@ Status Predictor::try_set_sample(const DataPlacement& sample,
         .annotate(ctx);
   }
   return OkStatus();
-}
-
-std::shared_ptr<const TraceSkeleton> Predictor::memoize_trace() {
-  if (!skeleton_) skeleton_ = std::make_shared<TraceSkeleton>(*kernel_);
-  return skeleton_;
 }
 
 TraceAnalyzer Predictor::make_analyzer() const {
@@ -190,20 +186,16 @@ Prediction Predictor::predict_from_events(
 }
 
 Prediction Predictor::predict(const DataPlacement& target) const {
-  return predict_with(target, nullptr, skeleton_.get());
+  return predict_with(target, nullptr, nullptr);
 }
 
 Prediction Predictor::predict_with(const DataPlacement& target,
                                    TraceAnalyzer* analyzer,
                                    const TraceSkeleton* skeleton) const {
   GPUHMS_SCOPED_PHASE("predictor.predict_ns");
-  // The skeleton replay is the predictor's memo: a hit replays pre-recorded
-  // DSL streams, a miss re-runs the kernel function per candidate.
-  if (skeleton != nullptr) {
-    GPUHMS_COUNTER_ADD("predictor.memo_hits", 1);
-  } else {
-    GPUHMS_COUNTER_ADD("predictor.memo_misses", 1);
-  }
+  GPUHMS_CHECK_MSG(skeleton_ != nullptr,
+                   "profile_sample/set_sample must be called first");
+  if (skeleton == nullptr) skeleton = skeleton_.get();
   const PlacementEvents target_ev =
       analyzer ? analyzer->analyze(target, skeleton)
                : analyze_trace(*kernel_, target, *arch_,
@@ -227,10 +219,6 @@ std::vector<Prediction> Predictor::predict_batch(
     std::span<const DataPlacement> targets, ThreadPool* pool) const {
   std::vector<Prediction> out(targets.size());
   if (targets.empty()) return out;
-  // Share one skeleton across the whole batch even when the predictor has
-  // not memoized one: its recording cost amortizes after a couple targets.
-  std::shared_ptr<const TraceSkeleton> skel = skeleton_;
-  if (!skel) skel = std::make_shared<TraceSkeleton>(*kernel_);
   ThreadPool local_pool(pool ? 1 : 0);
   ThreadPool& p = pool ? *pool : local_pool;
   std::vector<TraceAnalyzer> scratch;
@@ -238,8 +226,7 @@ std::vector<Prediction> Predictor::predict_batch(
   for (int t = 0; t < p.size(); ++t) scratch.push_back(make_analyzer());
   p.parallel_for(targets.size(), [&](int worker, std::size_t i) {
     out[i] = predict_with(targets[i],
-                          &scratch[static_cast<std::size_t>(worker)],
-                          skel.get());
+                          &scratch[static_cast<std::size_t>(worker)], nullptr);
   });
   return out;
 }
@@ -421,12 +408,27 @@ ToverlapModel train_overlap_model_measured(std::span<const MeasuredCase> cases,
   std::vector<Slot> slots(cases.size());
   ThreadPool local_pool(pool ? 1 : 0);
   ThreadPool& tp = pool ? *pool : local_pool;
+  // One skeleton per distinct kernel, shared by all of its cases.
+  std::vector<const KernelInfo*> kernels;
+  std::vector<std::unique_ptr<TraceSkeleton>> skeletons;
+  std::vector<std::size_t> skeleton_of(cases.size());
+  for (std::size_t ci = 0; ci < cases.size(); ++ci) {
+    GPUHMS_CHECK(cases[ci].kernel != nullptr);
+    const auto it =
+        std::find(kernels.begin(), kernels.end(), cases[ci].kernel);
+    skeleton_of[ci] = static_cast<std::size_t>(it - kernels.begin());
+    if (it == kernels.end()) kernels.push_back(cases[ci].kernel);
+  }
+  skeletons.resize(kernels.size());
+  tp.parallel_for(kernels.size(), [&](int, std::size_t i) {
+    skeletons[i] = std::make_unique<TraceSkeleton>(*kernels[i]);
+  });
   tp.parallel_for(cases.size(), [&](int, std::size_t ci) {
     const MeasuredCase& c = cases[ci];
-    GPUHMS_CHECK(c.kernel != nullptr);
     const SimResult& measured = c.measured;
-    const PlacementEvents ev = analyze_trace(*c.kernel, c.placement, arch,
-                                             analysis_options(options));
+    const PlacementEvents ev =
+        analyze_trace(*c.kernel, c.placement, arch, analysis_options(options),
+                      skeletons[skeleton_of[ci]].get());
     const ProfileCounters& sc = measured.counters;
     const double total_warps =
         static_cast<double>(std::max<std::uint64_t>(1, sc.total_warps));

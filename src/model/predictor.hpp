@@ -160,18 +160,20 @@ class Predictor {
   // predict entry point).
   bool has_sample() const { return sample_result_.has_value(); }
 
-  // Record (once) the placement-independent DSL skeleton of the kernel and
-  // reuse it in every subsequent predict — the access skeleton is shared by
-  // all placements, so a search pays the kernel-function replay once.
-  // Returns the skeleton so callers can share it across threads.
-  std::shared_ptr<const TraceSkeleton> memoize_trace();
-  std::shared_ptr<const TraceSkeleton> skeleton() const { return skeleton_; }
+  // The placement-independent DSL skeleton of the kernel, recorded once by
+  // the first set_sample (before the sample is analyzed) and replayed by
+  // every predict — the access skeleton is shared by all placements, so a
+  // search pays the kernel-function run once. Null until a sample is set;
+  // immutable, so callers can share it across threads.
+  std::shared_ptr<const TraceSkeleton> memoize_trace() const {
+    return skeleton_;
+  }
 
   Prediction predict(const DataPlacement& target) const;
 
   // Hot-path variant: `analyzer` (one per thread) supplies reusable
   // cache/row-buffer scratch, `skeleton` the pre-recorded DSL streams.
-  // Either may be null.
+  // Either may be null: a fresh analyzer and memoize_trace() stand in.
   Prediction predict_with(const DataPlacement& target, TraceAnalyzer* analyzer,
                           const TraceSkeleton* skeleton) const;
 

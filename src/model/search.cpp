@@ -106,9 +106,8 @@ SearchResult exhaustive_over(const Predictor& predictor,
   ThreadPool& pool = options.pool ? *options.pool : local_pool;
 
   // One skeleton shared by every worker; one analyzer scratch per worker.
-  std::shared_ptr<const TraceSkeleton> skeleton = predictor.skeleton();
-  if (!skeleton && options.memoize_trace)
-    skeleton = std::make_shared<TraceSkeleton>(k);
+  const std::shared_ptr<const TraceSkeleton> skeleton =
+      predictor.memoize_trace();
   std::vector<TraceAnalyzer> scratch;
   scratch.reserve(static_cast<std::size_t>(pool.size()));
   for (int t = 0; t < pool.size(); ++t)
@@ -129,8 +128,6 @@ SearchResult exhaustive_over(const Predictor& predictor,
   PlacementBounder bounder;
   if (!options.prune) {
     best.prune_gate_reason = "off";
-  } else if (!skeleton) {
-    best.prune_gate_reason = "no-skeleton";
   } else if (n < kMinPruneSpace) {
     best.prune_gate_reason = "small-space";
   } else {
@@ -345,9 +342,7 @@ BnbContext make_bnb_context(const Predictor& predictor, ThreadPool& pool,
   BnbContext ctx;
   ctx.predictor = &predictor;
   ctx.arch = &predictor.arch();
-  ctx.skeleton = predictor.skeleton();
-  if (!ctx.skeleton)
-    ctx.skeleton = std::make_shared<TraceSkeleton>(predictor.kernel());
+  ctx.skeleton = predictor.memoize_trace();
   ctx.bounder = predictor.make_bounder(*ctx.skeleton);
   ctx.pool = &pool;
   ctx.scratch = scratch;

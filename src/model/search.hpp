@@ -84,9 +84,6 @@ struct SearchOptions {
   // hardware concurrency). Ignored when `pool` is set.
   int num_threads = 0;
   ThreadPool* pool = nullptr;  // reuse an external pool across searches
-  // Record the kernel's DSL skeleton once and replay it per candidate
-  // instead of re-running the kernel function m^n times.
-  bool memoize_trace = true;
   // Skip candidates whose admissible lower bound (PlacementBounder: T_comp
   // addressing floor maxed with the T_mem floor) exceeds the current best
   // (exhaustive search only; never changes the returned placement). The
@@ -144,7 +141,6 @@ struct SearchResult {
   //                      the bound ever came to the prune threshold (a value
   //                      well under 1 means the bound is too loose to fire)
   //   prune_gate_reason  "off" (options.prune false / non-exhaustive),
-  //                      "no-skeleton" (no memoized trace to bound against),
   //                      "small-space" (space too small to amortize checks),
   //                      "gated-ineffective" (probing showed a hopeless
   //                      bound; checks stopped mid-search), or "active".

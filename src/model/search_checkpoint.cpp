@@ -161,11 +161,10 @@ std::optional<BnbCheckpoint> decode_checkpoint(std::string_view payload) {
   return cp;
 }
 
-// The five interned prune_gate_reason literals of SearchResult; decoding
+// The four interned prune_gate_reason literals of SearchResult; decoding
 // maps back onto them so the field stays a static-lifetime const char*.
 const char* intern_gate_reason(const std::string& s) {
-  for (const char* known :
-       {"off", "no-skeleton", "small-space", "gated-ineffective", "active"})
+  for (const char* known : {"off", "small-space", "gated-ineffective", "active"})
     if (s == known) return known;
   return "off";
 }

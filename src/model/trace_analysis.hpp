@@ -32,11 +32,6 @@ struct AnalysisOptions {
   // Ablation (Fig. 8): ignore the detected address mapping and spread DRAM
   // requests round-robin over banks.
   bool even_bank_distribution = false;
-  // Force the legacy scalar replay instead of the data-oriented SoA engine
-  // on skeleton-backed analyses (differential testing; the results are
-  // required to be bit-identical). The GPUHMS_LEGACY_REPLAY environment
-  // variable forces this process-wide.
-  bool legacy_replay = false;
 };
 
 struct BankStream {
@@ -106,33 +101,20 @@ struct PlacementEvents {
 // row-buffer state and the coalescing scratch, and analyzes any number of
 // placements of one kernel without reallocating them (the per-candidate hot
 // path of a placement search). Instances are NOT thread-safe — give each
-// worker thread its own analyzer; the (optional) TraceSkeleton is immutable
-// and can be shared by all of them.
+// worker thread its own analyzer; the TraceSkeleton is immutable and can be
+// shared by all of them.
 class TraceAnalyzer {
  public:
   TraceAnalyzer(const KernelInfo& kernel, const GpuArch& arch,
                 const AnalysisOptions& opts = {});
 
-  // Replays the (kernel, placement) trace in analysis order. The skeleton,
-  // when given, must be recorded from this analyzer's kernel; it skips the
-  // kernel-function re-run inside trace materialization.
+  // Replays the (kernel, placement) trace in analysis order through the SoA
+  // engine (trace/soa.hpp). `skeleton` must be non-null and recorded from
+  // this analyzer's kernel.
   PlacementEvents analyze(const DataPlacement& placement,
-                          const TraceSkeleton* skeleton = nullptr);
+                          const TraceSkeleton* skeleton);
 
   const KernelInfo& kernel() const { return *kernel_; }
-
-  // Uniform view of one lowered op, so the replay loop is shared between the
-  // plain TraceOp path and the compact memoized path (`addr` is only
-  // dereferenced for memory ops). Public for the internal wave adapters.
-  struct OpView {
-    OpClass cls;
-    MemSpace space;
-    std::int16_t array;
-    bool uses_prev;
-    bool is_addr_calc;
-    std::uint32_t active_mask;
-    const std::int64_t* addr;
-  };
 
  private:
   struct BankRow {
@@ -144,13 +126,7 @@ class TraceAnalyzer {
 
   void reset();
   void dram_request(std::uint64_t line_addr, bool is_store);
-  void mem_op(const OpView& op, int sm);
-  template <class WaveTraces>
-  void rr_schedule(const WaveTraces& traces);
-  void run(const TraceMaterializer& mat);
-  void run_compact(const TraceMaterializer& mat,
-                   const TraceSkeleton& skeleton);
-  void run_soa(const TraceMaterializer& mat, const TraceSkeleton& skeleton);
+  void replay(const TraceMaterializer& mat, const TraceSkeleton& skeleton);
 
   const KernelInfo* kernel_;
   const GpuArch* arch_;
@@ -160,17 +136,14 @@ class TraceAnalyzer {
   std::vector<SetAssocCache> const_caches_;  // one per SM
   std::vector<SetAssocCache> tex_caches_;
   std::vector<BankRow> rows_;
-  std::vector<std::uint64_t> lines_;  // coalescing scratch
-  CompactTrace compact_scratch_;      // memoized-path wave buffer, reused
-  SoaLowering soa_;                   // data-oriented replay engine
-  bool use_soa_ = false;
+  SoaLowering soa_;  // data-oriented lowering engine
   PlacementEvents ev_;
   std::uint64_t tick_ = 0;
   std::uint64_t rr_bank_ = 0;
-  std::uint64_t dep_breaks_ = 0;        // ops consuming their predecessor
-  std::uint64_t mem_chain_breaks_ = 0;  // mem ops followed by a dependent op
 };
 
+// One-shot analysis; records a transient skeleton when none is given (pass a
+// shared one to amortize it over many placements of the kernel).
 PlacementEvents analyze_trace(const KernelInfo& kernel,
                               const DataPlacement& placement,
                               const GpuArch& arch,

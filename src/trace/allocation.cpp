@@ -1,6 +1,7 @@
 #include "trace/allocation.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.hpp"
 
@@ -10,7 +11,6 @@ namespace {
 
 constexpr std::uint64_t kDeviceHeapStart = 1ull << 16;  // skip the null page
 constexpr std::uint64_t kDeviceAlign = 512;
-// kSharedAlign lives in the header (the SoA fold validity check needs it).
 
 std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
   return (v + a - 1) / a * a;
@@ -34,6 +34,11 @@ std::uint64_t alloc_bytes(const ArrayDecl& a) {
 
 }  // namespace
 
+std::uint64_t shared_segment_align(const GpuArch& arch) {
+  return std::lcm(kSharedAlign,
+                  4 * static_cast<std::uint64_t>(arch.shared_banks));
+}
+
 MemoryLayout::MemoryLayout(const KernelInfo& kernel,
                            const DataPlacement& placement, const GpuArch& arch)
     : kernel_(&kernel), placement_(&placement) {
@@ -50,11 +55,12 @@ MemoryLayout::MemoryLayout(const KernelInfo& kernel,
     device_cursor_ = align_up(device_base_[i] + alloc_bytes(kernel.arrays[i]),
                               kDeviceAlign);
   }
+  const std::uint64_t shared_align = shared_segment_align(arch);
   for (std::size_t i = 0; i < kernel.arrays.size(); ++i) {
     if (placement.of(static_cast<int>(i)) != MemSpace::Shared) continue;
     shared_offset_[i] = shared_cursor_;
     shared_cursor_ = align_up(
-        shared_cursor_ + kernel.arrays[i].shared_slice_bytes(), kSharedAlign);
+        shared_cursor_ + kernel.arrays[i].shared_slice_bytes(), shared_align);
   }
   GPUHMS_CHECK_MSG(shared_cursor_ <= arch.shared_capacity,
                    "placement exceeds shared capacity (validate first)");

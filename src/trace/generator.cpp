@@ -68,7 +68,7 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel)
   // SoA replay tables: digest the proto stream into per-warp memory-record
   // ranges plus the placement-invariant tallies the data-oriented path folds
   // analytically (see the header for the dependency/chain rules mirrored
-  // from generate_compact's lowering).
+  // from TraceMaterializer::lower).
   const std::size_t num_warps = warps_.size();
   const std::size_t num_arrays = kernel.arrays.size();
   inv_ops_.resize(num_warps);
@@ -223,18 +223,12 @@ const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(
   FoldTable& table = fold_table(num_banks);
   const std::size_t a = static_cast<std::size_t>(array);
   std::call_once(table.once[a], [&] {
-    // Degrees are computed on the slice-local byte offsets. The shared base
-    // offset of every placement is kSharedAlign-byte aligned, so as long as
-    // kSharedAlign is a multiple of the bank stride 4 * num_banks, the base
-    // shifts every word by a whole number of bank rotations: distinctness
-    // and bank assignment — hence the conflict degree — match
-    // shared_conflict_degree on the real addresses of any placement. The
-    // bank count comes from the *active* arch (SoaLowering::supports gates
-    // on the same expression), not a compiled-in constant.
-    GPUHMS_CHECK_MSG(
-        num_banks > 0 && num_banks <= 64 &&
-            kSharedAlign % (4ull * static_cast<unsigned>(num_banks)) == 0,
-        "shared_fold requires kSharedAlign % (4 * num_banks) == 0");
+    // Degrees are computed on the slice-local byte offsets. MemoryLayout
+    // aligns every shared base offset to a multiple of the bank stride
+    // 4 * num_banks (shared_segment_align), so the base shifts every word by
+    // a whole number of bank rotations: distinctness and bank assignment —
+    // hence the conflict degree — match shared_conflict_degree on the real
+    // addresses of any placement.
     const ArrayDecl& arr = kernel_->arrays[a];
     const std::int64_t slice =
         static_cast<std::int64_t>(arr.shared_slice_elems ? arr.shared_slice_elems
@@ -296,17 +290,6 @@ std::span<const AddrBlock> TraceSkeleton::device_addr_pool(
     }
   });
   return device_pools_[slot];
-}
-
-std::span<const TraceSkeleton::WarpRecord> TraceSkeleton::warps(
-    std::int64_t block_begin, std::int64_t block_end) const {
-  GPUHMS_CHECK(0 <= block_begin && block_begin <= block_end &&
-               block_end <= kernel_->num_blocks);
-  const std::size_t wpb =
-      static_cast<std::size_t>(kernel_->warps_per_block());
-  return std::span<const WarpRecord>(
-      warps_.data() + static_cast<std::size_t>(block_begin) * wpb,
-      static_cast<std::size_t>(block_end - block_begin) * wpb);
 }
 
 TraceMaterializer::TraceMaterializer(const KernelInfo& kernel,
@@ -465,27 +448,13 @@ void TraceMaterializer::staging_preamble(const WarpCtx& ctx,
 }
 
 std::vector<WarpTrace> TraceMaterializer::generate(
-    std::int64_t block_begin, std::int64_t block_end,
-    const TraceSkeleton* skeleton) const {
+    std::int64_t block_begin, std::int64_t block_end) const {
   GPUHMS_COUNTER_ADD("trace.waves_lowered", 1);
   GPUHMS_COUNTER_ADD("trace.warps_lowered",
                      (block_end - block_begin) * kernel_->warps_per_block());
   std::vector<WarpTrace> traces;
   traces.reserve(static_cast<std::size_t>(
       (block_end - block_begin) * kernel_->warps_per_block()));
-  if (skeleton != nullptr) {
-    GPUHMS_CHECK_MSG(&skeleton->kernel() == kernel_,
-                     "skeleton recorded from a different kernel");
-    for (const TraceSkeleton::WarpRecord& rec :
-         skeleton->warps(block_begin, block_end)) {
-      WarpTrace wt;
-      wt.ctx = rec.ctx;
-      staging_preamble(rec.ctx, wt.ops);
-      lower(rec.ctx, rec.ops, wt.ops);
-      traces.push_back(std::move(wt));
-    }
-    return traces;
-  }
   for_each_warp(*kernel_, block_begin, block_end,
                 [&](const WarpCtx& ctx, std::vector<DslOp>&& ops) {
                   WarpTrace wt;
@@ -495,117 +464,6 @@ std::vector<WarpTrace> TraceMaterializer::generate(
                   traces.push_back(std::move(wt));
                 });
   return traces;
-}
-
-void TraceMaterializer::generate_compact(std::int64_t block_begin,
-                                         std::int64_t block_end,
-                                         const TraceSkeleton& skeleton,
-                                         CompactTrace& out) const {
-  GPUHMS_CHECK_MSG(&skeleton.kernel() == kernel_,
-                   "skeleton recorded from a different kernel");
-  GPUHMS_COUNTER_ADD("trace.waves_lowered", 1);
-  GPUHMS_COUNTER_ADD("trace.warps_lowered",
-                     (block_end - block_begin) * kernel_->warps_per_block());
-  out.ops.clear();
-  out.warps.clear();
-  out.local_addrs.clear();
-  const std::size_t wpb = static_cast<std::size_t>(kernel_->warps_per_block());
-  const std::size_t w0 = static_cast<std::size_t>(block_begin) * wpb;
-  const std::size_t w1 = static_cast<std::size_t>(block_end) * wpb;
-  for (std::size_t w = w0; w < w1; ++w) {
-    if (GPUHMS_FAULT_POINT("trace.lower"))
-      throw InjectedFault("trace.lower: injected failure lowering warp trace");
-    const TraceSkeleton::WarpRecord& rec = skeleton.warp(w);
-    CompactTrace::Warp warp;
-    warp.ctx = rec.ctx;
-    warp.begin = static_cast<std::uint32_t>(out.ops.size());
-    // Staging preamble: placement-dependent and rare — reuse the TraceOp
-    // emitter and transcribe, rather than duplicating its logic here.
-    if (!staged_arrays_.empty()) {
-      out.staging_scratch.clear();
-      staging_preamble(rec.ctx, out.staging_scratch);
-      for (const TraceOp& t : out.staging_scratch) {
-        CompactOp c;
-        c.cls = t.cls;
-        c.space = t.space;
-        c.array = t.array;
-        c.uses_prev = t.uses_prev;
-        c.is_addr_calc = t.is_addr_calc;
-        c.active_mask = t.active_mask;
-        if (is_memory(t.cls)) {
-          c.pool = kPoolLocal;
-          c.addr_index = static_cast<std::uint32_t>(out.local_addrs.size());
-          out.local_addrs.push_back(t.addr);
-        }
-        out.ops.push_back(c);
-      }
-    }
-    for (const TraceSkeleton::ProtoOp& p : skeleton.proto(w)) {
-      switch (p.cls) {
-        case OpClass::Load:
-        case OpClass::Store: {
-          const int array = p.array;
-          const ArrayDecl& arr =
-              kernel_->arrays[static_cast<std::size_t>(array)];
-          const MemSpace space = placement_.of(array);
-          const int addr_insts = addr_calc_instructions(space, arr.dtype);
-          for (int i = 0; i < addr_insts; ++i) {
-            CompactOp a;
-            a.cls = OpClass::IAlu;
-            a.is_addr_calc = true;
-            a.active_mask = p.active_mask;
-            out.ops.push_back(a);
-          }
-          CompactOp m;
-          m.cls = p.cls;
-          m.space = space;
-          m.array = static_cast<std::int16_t>(array);
-          m.uses_prev = addr_insts > 0 ? true : p.uses_prev;
-          m.active_mask = p.active_mask;
-          if (space == MemSpace::Shared) {
-            m.pool = kPoolLocal;
-            m.addr_index = static_cast<std::uint32_t>(out.local_addrs.size());
-            AddrBlock blk;
-            const LaneIdx& idx = rec.ops[p.dsl_index].idx;
-            for (int l = 0; l < kWarpSize; ++l) {
-              const std::int64_t e = idx[static_cast<std::size_t>(l)];
-              blk[static_cast<std::size_t>(l)] =
-                  e == kInactiveLane ? -1
-                                     : static_cast<std::int64_t>(
-                                           layout_.shared_addr(array, e));
-            }
-            out.local_addrs.push_back(blk);
-          } else {
-            const bool block_linear = space == MemSpace::Texture2D;
-            m.pool = block_linear ? kPoolDeviceBlockLinear : kPoolDeviceLinear;
-            m.addr_index = p.ordinal;
-            // Ensure the shared pool exists (thread-safe, filled once).
-            skeleton.device_addr_pool(array, block_linear, layout_);
-          }
-          out.ops.push_back(m);
-          break;
-        }
-        case OpClass::Sync: {
-          CompactOp t;
-          t.cls = OpClass::Sync;
-          t.active_mask = 0xffffffffu;
-          out.ops.push_back(t);
-          break;
-        }
-        default: {
-          for (int i = 0; i < p.count; ++i) {
-            CompactOp t;
-            t.cls = p.cls;
-            t.uses_prev = i == 0 && p.uses_prev;
-            t.active_mask = 0xffffffffu;
-            out.ops.push_back(t);
-          }
-        }
-      }
-    }
-    warp.end = static_cast<std::uint32_t>(out.ops.size());
-    out.warps.push_back(warp);
-  }
 }
 
 }  // namespace gpuhms

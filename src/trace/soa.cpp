@@ -11,7 +11,6 @@ namespace gpuhms {
 
 void SoaLowering::bind(const TraceMaterializer& mat,
                        const TraceSkeleton& skeleton, const GpuArch& arch) {
-  GPUHMS_CHECK_MSG(supports(arch), "SoA replay unsupported for this arch");
   mat_ = &mat;
   skeleton_ = &skeleton;
   arch_ = &arch;
@@ -272,7 +271,7 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
   tick_base_ += cum[rounds];
 
   // Counting sort by pc (stable, warp-major input): emission order becomes
-  // ascending (round, warp) — exactly the legacy interleaving, and strictly
+  // ascending (round, warp) — the round-robin interleaving, and strictly
   // increasing in tick.
   std::uint32_t* start = arena_.alloc<std::uint32_t>(rounds + 1);
   std::fill(start, start + rounds + 1, 0u);

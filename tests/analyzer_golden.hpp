@@ -7,11 +7,15 @@
 // variances. The placements are the sample plus every test placement of the
 // training and evaluation suites.
 //
-// The file was first written by the scalar per-op replay (the analyzer's
-// original engine) and cross-checked against the SoA engine at generation
-// time; tests compare the SoA engine's output against it line for line.
-// Regenerate it only for an intentional analyzer change:
-//   build/test_trace_analysis --write-golden tests/golden/analyzer_events.json
+// The checked-in file was written by the scalar per-op replay (the
+// analyzer's original engine, since replaced by the SoA engine) and matched
+// the SoA engine line for line when it was written; tests compare the SoA
+// engine against it. Regenerate it only for an intentional analyzer change,
+// from the repository root:
+//   build/tests/test_trace_analysis --write-golden tests/golden/analyzer_events.json
+//
+// expect_counters_match is the live counterpart: the analyzer's
+// order-insensitive counters against the simulator's on the same trace.
 #pragma once
 
 #include <cinttypes>
@@ -22,9 +26,12 @@
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "arch/arch_registry.hpp"
 #include "common/hashing.hpp"
 #include "model/trace_analysis.hpp"
+#include "sim/counters.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms::testutil {
@@ -99,6 +106,25 @@ inline std::string golden_line(const std::string& id,
     s += buf;
   }
   return s + "}";
+}
+
+// The simulator measures the same instruction, request, transaction and
+// replay (causes 1, 3, 4) counts the analysis derives; cache misses and DRAM
+// traffic depend on the timed interleaving and legitimately differ.
+inline void expect_counters_match(const PlacementEvents& ev,
+                                  const ProfileCounters& sim) {
+  EXPECT_EQ(ev.insts_executed, sim.inst_executed);
+  EXPECT_EQ(ev.mem_insts, sim.ldst_executed);
+  EXPECT_EQ(ev.global_requests, sim.global_requests);
+  EXPECT_EQ(ev.global_transactions, sim.global_transactions);
+  EXPECT_EQ(ev.const_requests, sim.const_requests);
+  EXPECT_EQ(ev.tex_requests, sim.tex_requests);
+  EXPECT_EQ(ev.tex_transactions, sim.tex_transactions);
+  EXPECT_EQ(ev.shared_requests, sim.shared_requests);
+  EXPECT_EQ(ev.shared_conflicts, sim.shared_bank_conflicts);
+  EXPECT_EQ(ev.replay_global_divergence, sim.replay_global_divergence);
+  EXPECT_EQ(ev.replay_const_divergence, sim.replay_const_divergence);
+  EXPECT_EQ(ev.replay_shared_conflict, sim.replay_shared_conflict);
 }
 
 // Every golden case: the workloads own the kernels the cases point into.

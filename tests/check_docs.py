@@ -19,7 +19,10 @@ Five guarantees:
      undocumented.
   5. Every `GPUHMS_*` environment variable read via getenv in src/ or
      examples/ is documented in README.md or docs/SERVING.md, so an
-     operator knob cannot ship undocumented.
+     operator knob cannot ship undocumented — and, in reverse, every
+     `GPUHMS_*` name listed in docs/SERVING.md's env table or README.md's
+     env bullet list is read via getenv in src/ or examples/, so a removed
+     knob cannot linger in the docs.
 
 Usage: check_docs.py [repo_root]   (default: parent of this script's dir)
 Exit 0 when clean, 1 with a per-problem report otherwise.
@@ -166,6 +169,8 @@ def check_readme_labels(root):
 
 
 GETENV_RE = re.compile(r'getenv\(\s*"(GPUHMS_[A-Z0-9_]+)"')
+# An env-table row (`| `GPUHMS_X` | ...`) or env bullet (`* `GPUHMS_X` — ...`).
+ENV_ENTRY_RE = re.compile(r"^(?:\||\*) `(GPUHMS_[A-Z0-9_]+)`", re.MULTILINE)
 
 
 def check_env_vars(root):
@@ -186,17 +191,26 @@ def check_env_vars(root):
         return ["no getenv(\"GPUHMS_...\") found in src/ or examples/ "
                 "(regex rot?)"]
     docs = ""
+    listed = set()
     for doc in ("README.md", os.path.join("docs", "SERVING.md")):
         path = os.path.join(root, doc)
         if os.path.exists(path):
             with open(path, encoding="utf-8") as f:
-                docs += f.read()
+                text = f.read()
+            docs += text
+            listed.update((doc, v) for v in ENV_ENTRY_RE.findall(text))
     for var in sorted(read_vars):
         if var not in docs:
             problems.append(
                 f"environment variable '{var}' is read in src/ or "
                 f"examples/ but documented in neither README.md nor "
                 f"docs/SERVING.md")
+    for doc, var in sorted(listed):
+        if var not in read_vars:
+            problems.append(
+                f"{doc}: environment variable '{var}' is listed but never "
+                f"read via getenv in src/ or examples/ — drop the stale "
+                f"entry")
     return problems
 
 

@@ -1,7 +1,7 @@
 // ArchRegistry battery (DESIGN §16): registry semantics, the differential
 // golden lock-in of the default backend against the historical hardwired
 // Kepler path, the per-arch memoization keying of shared TraceSkeletons, and
-// the SoA supports()/fold fix that consults the active arch's bank count.
+// the SoA shared-conflict fold on any bank count.
 //
 // Naming note: the exhaustive differential sweeps carry "EveryWorkload" in
 // their test names so the sanitizer rebuilds (which filter -*EveryWorkload*)
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analyzer_golden.hpp"
 #include "common/rng.hpp"
 #include "dram/address_mapping.hpp"
 #include "model/predictor.hpp"
@@ -213,73 +214,70 @@ TEST(TraceSkeletonMemo, TwoArchsShareOneSkeletonWithoutAliasing) {
   EXPECT_EQ(static_cast<int>(first.banks.size()), kepler.total_banks());
 }
 
-// --- SoA supports() / fold-validity fix --------------------------------------
+// --- SoA shared-conflict fold on any bank count ------------------------------
 
-TEST(SoaLowering, SupportsConsultsActiveArchBankCount) {
-  EXPECT_TRUE(SoaLowering::supports(kepler_arch()));  // 128 % (4*32) == 0
-  GpuArch a;
-  a.shared_banks = 16;  // the hbm2 geometry: 128 % 64 == 0
-  EXPECT_TRUE(SoaLowering::supports(a));
-  a.shared_banks = 8;
-  EXPECT_TRUE(SoaLowering::supports(a));
-  a.shared_banks = 24;  // 128 % 96 != 0: the fold would misattribute words
-  EXPECT_FALSE(SoaLowering::supports(a));
-  a.shared_banks = 64;  // 128 % 256 != 0: alignment below a full rotation
-  EXPECT_FALSE(SoaLowering::supports(a));
-  a.shared_banks = 0;
-  EXPECT_FALSE(SoaLowering::supports(a));
-}
-
-// The SoA replay must stay bit-identical to the legacy scalar path on every
-// registered backend it claims to support — including the 16-bank hbm2
-// profile whose fold the old compiled-in `banks == 32` check would have
-// refused (and whose degrees differ from the 32-bank fold, see above).
-TEST(SoaReplay, MatchesLegacyOnEveryRegisteredBackend) {
+// The fold keys on the active arch's bank count, and MemoryLayout aligns
+// shared segments to whole bank rotations of it, so the fold also holds for
+// bank counts that do not divide kSharedAlign / 4 — 24 and 64 banks here,
+// which no registered backend uses. It must count the conflicts the
+// simulator measures on the real shared addresses.
+TEST(SoaReplay, SharedFoldExactOnAnyBankCount) {
   const KernelInfo kernel = workloads::make_transpose(64);
   const TraceSkeleton skeleton(kernel);
   const DataPlacement base = DataPlacement::defaults(kernel);
-  // Exercise the shared fold: stage the first shared-legal array.
-  DataPlacement staged = base;
-  for (std::size_t a = 0; a < kernel.arrays.size(); ++a) {
-    DataPlacement candidate = base.with(static_cast<int>(a), MemSpace::Shared);
-    if (!validate_placement(kernel, candidate, kepler_arch())) {
-      staged = candidate;
-      break;
+  for (const int banks : {24, 64}) {
+    SCOPED_TRACE(std::to_string(banks) + " banks");
+    GpuArch arch = kepler_arch();
+    arch.shared_banks = banks;
+    ASSERT_TRUE(validate(arch).ok());
+    EXPECT_EQ(shared_segment_align(arch) % (4u * banks), 0u);
+    int shared_placed = 0;
+    for (std::size_t a = 0; a < kernel.arrays.size(); ++a) {
+      const DataPlacement p = base.with(static_cast<int>(a), MemSpace::Shared);
+      if (validate_placement(kernel, p, arch)) continue;
+      ++shared_placed;
+      const PlacementEvents ev =
+          analyze_trace(kernel, p, arch, {}, &skeleton);
+      const ProfileCounters sim = simulate(kernel, p, arch).counters;
+      EXPECT_GT(ev.shared_requests, 0u);
+      EXPECT_EQ(ev.shared_requests, sim.shared_requests);
+      EXPECT_EQ(ev.shared_conflicts, sim.shared_bank_conflicts);
+      EXPECT_EQ(ev.replay_shared_conflict, sim.replay_shared_conflict);
     }
+    EXPECT_GT(shared_placed, 0);
   }
+  // Every registered backend keeps the historical 128 B alignment.
+  for (const std::string& name : ArchRegistry::builtin().names())
+    EXPECT_EQ(shared_segment_align(ArchRegistry::builtin().find(name)->arch),
+              kSharedAlign);
+}
+
+// Every registered backend reproduces the frozen scalar-replay outputs on
+// the golden placements that stage an array into shared memory (the fold
+// path), including the 16-bank hbm2 profile.
+TEST(SoaReplayEveryWorkload, MatchesGoldenOnEveryRegisteredBackend) {
+  const auto golden = testutil::load_analyzer_golden(
+      std::string(GPUHMS_GOLDEN_DIR) + "/analyzer_events.json");
+  const testutil::GoldenCases cases;
   for (const std::string& name : ArchRegistry::builtin().names()) {
-    const GpuArch& arch = ArchRegistry::builtin().find(name)->arch;
-    if (!SoaLowering::supports(arch)) continue;
     SCOPED_TRACE(name);
-    for (const DataPlacement* placement :
-         std::initializer_list<const DataPlacement*>{&base, &staged}) {
-      AnalysisOptions soa_opts;
-      AnalysisOptions legacy_opts;
-      legacy_opts.legacy_replay = true;
-      const PlacementEvents soa =
-          analyze_trace(kernel, *placement, arch, soa_opts, &skeleton);
-      const PlacementEvents legacy =
-          analyze_trace(kernel, *placement, arch, legacy_opts, &skeleton);
-      EXPECT_EQ(soa.insts_executed, legacy.insts_executed);
-      EXPECT_EQ(soa.addr_calc_insts, legacy.addr_calc_insts);
-      EXPECT_EQ(soa.mem_insts, legacy.mem_insts);
-      EXPECT_EQ(soa.load_insts, legacy.load_insts);
-      EXPECT_EQ(soa.sync_insts, legacy.sync_insts);
-      EXPECT_EQ(soa.replay_global_divergence, legacy.replay_global_divergence);
-      EXPECT_EQ(soa.replay_const_miss, legacy.replay_const_miss);
-      EXPECT_EQ(soa.replay_const_divergence, legacy.replay_const_divergence);
-      EXPECT_EQ(soa.replay_shared_conflict, legacy.replay_shared_conflict);
-      EXPECT_EQ(soa.global_requests, legacy.global_requests);
-      EXPECT_EQ(soa.global_transactions, legacy.global_transactions);
-      EXPECT_EQ(soa.l2_transactions, legacy.l2_transactions);
-      EXPECT_EQ(soa.l2_misses, legacy.l2_misses);
-      EXPECT_EQ(soa.shared_requests, legacy.shared_requests);
-      EXPECT_EQ(soa.shared_conflicts, legacy.shared_conflicts);
-      EXPECT_EQ(soa.row_hits, legacy.row_hits);
-      EXPECT_EQ(soa.row_misses, legacy.row_misses);
-      EXPECT_EQ(soa.row_conflicts, legacy.row_conflicts);
-      EXPECT_EQ(soa.trace_ticks, legacy.trace_ticks);
+    int staged = 0;
+    for (const testutil::GoldenCases::Case& c : cases.cases) {
+      if (c.arch_name != name) continue;
+      bool stages = false;
+      for (std::size_t a = 0; a < c.kernel->arrays.size(); ++a)
+        stages |= c.placement.of(static_cast<int>(a)) == MemSpace::Shared &&
+                  c.kernel->arrays[a].default_space != MemSpace::Shared;
+      if (!stages) continue;
+      ++staged;
+      const auto it = golden.find(c.id);
+      ASSERT_NE(it, golden.end()) << c.id;
+      EXPECT_EQ(testutil::golden_line(
+                    c.id, analyze_trace(*c.kernel, c.placement, *c.arch, {},
+                                        c.skeleton)),
+                it->second);
     }
+    EXPECT_GT(staged, 0);
   }
 }
 

@@ -1,6 +1,6 @@
 // Parallel search engine: thread-pool correctness, serial/parallel
 // bit-identity of the searches, deterministic tie-breaking, batch
-// prediction, trace memoization, and cap observability. This test is also
+// prediction, and cap observability. This test is also
 // rebuilt under -fsanitize=thread (test_search_parallel_tsan) to lock in the
 // thread-safety of the shared Predictor/TraceSkeleton.
 #include "model/search.hpp"
@@ -23,13 +23,11 @@ Predictor profiled_predictor(const KernelInfo& k) {
   return pred;
 }
 
-SearchOptions options_with_threads(int threads, bool memoize = true,
-                                   bool prune = true,
+SearchOptions options_with_threads(int threads, bool prune = true,
                                    std::size_t cap = 4096) {
   SearchOptions o;
   o.cap = cap;
   o.num_threads = threads;
-  o.memoize_trace = memoize;
   o.prune = prune;
   return o;
 }
@@ -79,25 +77,20 @@ TEST(SearchParallel, BitIdenticalToSerialOnEveryWorkload) {
     SCOPED_TRACE(c.name);
     const Predictor pred = profiled_predictor(c.kernel);
     // Small cap keeps the sweep tractable while still covering every kernel.
-    const auto serial = search_exhaustive(pred, options_with_threads(1, true,
-                                                                     true, 12));
-    const auto parallel = search_exhaustive(
-        pred, options_with_threads(4, true, true, 12));
+    const auto serial =
+        search_exhaustive(pred, options_with_threads(1, true, 12));
+    const auto parallel =
+        search_exhaustive(pred, options_with_threads(4, true, 12));
     expect_identical(serial, parallel);
   }
 }
 
-// Memoizing the trace skeleton must not change predictions, and pruning must
-// never change the returned placement or its predicted cycles.
-TEST(SearchParallel, MemoizationAndPruningPreserveTheWinner) {
+// Pruning must never change the returned placement or its predicted cycles.
+TEST(SearchParallel, PruningPreservesTheWinner) {
   const KernelInfo k = workloads::make_stencil2d(128, 64);
   const Predictor pred = profiled_predictor(k);
-  const auto plain =
-      search_exhaustive(pred, options_with_threads(1, false, false));
-  const auto memoized =
-      search_exhaustive(pred, options_with_threads(1, true, false));
+  const auto plain = search_exhaustive(pred, options_with_threads(1, false));
   const auto pruned = search_exhaustive(pred, options_with_threads(2));
-  expect_identical(plain, memoized);
   EXPECT_EQ(plain.placement, pruned.placement);
   EXPECT_EQ(plain.predicted_cycles, pruned.predicted_cycles);
   EXPECT_EQ(plain.evaluated, pruned.evaluated + pruned.pruned);
@@ -159,7 +152,6 @@ TEST(SearchParallel, SharedPredictorIsThreadSafe) {
   const KernelInfo k = workloads::make_triad(1 << 12);
   Predictor pred(k, kepler_arch());
   pred.profile_sample(DataPlacement::defaults(k));
-  pred.memoize_trace();
   const auto space = enumerate_placements(k, kepler_arch(), 16);
   std::vector<double> expected;
   for (const auto& p : space) expected.push_back(pred.predict(p).total_cycles);
@@ -197,7 +189,7 @@ TEST(SearchParallel, TruncationIsObservable) {
   EXPECT_GT(full.placements.size(), 5u);
 
   const Predictor pred = profiled_predictor(k);
-  const auto r = search_exhaustive(pred, options_with_threads(2, true, true, 5));
+  const auto r = search_exhaustive(pred, options_with_threads(2, true, 5));
   EXPECT_TRUE(r.space_truncated);
   EXPECT_EQ(r.space_skipped, capped.skipped_combinations);
   EXPECT_EQ(r.evaluated + r.pruned, 5u);
@@ -260,7 +252,7 @@ TEST(SearchDeadline, PreSetCancelTokenStopsImmediately) {
 
 TEST(SearchDeadline, OracleHonorsDeadlineWithBestSoFar) {
   const KernelInfo k = workloads::make_vecadd(1 << 10);
-  SearchOptions o = options_with_threads(2, true, true, 16);
+  SearchOptions o = options_with_threads(2, true, 16);
   o.deadline = std::chrono::milliseconds(0);
   const OracleResult r = search_oracle(k, kepler_arch(), o);
   EXPECT_TRUE(r.deadline_hit);

@@ -1,10 +1,7 @@
-// Differential lock-in for the data-oriented SoA replay engine
-// (src/trace/soa.*): on every skeleton-backed analysis the SoA path must be
-// bit-for-bit identical to the legacy scalar replay — same counters, same
-// per-bank arrival/service statistics (order-sensitive doubles), same
-// predictions. The legacy path is reachable two ways (AnalysisOptions::
-// legacy_replay and the GPUHMS_LEGACY_REPLAY environment variable); both are
-// exercised.
+// Lock-in for the data-oriented SoA replay engine (src/trace/soa.*), the
+// trace analyzer's only engine: bit-for-bit against the frozen outputs of the
+// scalar per-op replay it replaced (tests/golden/analyzer_events.json), and
+// against the simulator's counters on randomized synthetic kernels.
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -16,7 +13,6 @@
 #include "arch/gpu_arch.hpp"
 #include "model/predictor.hpp"
 #include "model/trace_analysis.hpp"
-#include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
@@ -24,88 +20,6 @@ namespace {
 
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-void expect_events_identical(const PlacementEvents& a,
-                             const PlacementEvents& b) {
-  EXPECT_EQ(a.insts_executed, b.insts_executed);
-  EXPECT_EQ(a.addr_calc_insts, b.addr_calc_insts);
-  EXPECT_EQ(a.mem_insts, b.mem_insts);
-  EXPECT_EQ(a.load_insts, b.load_insts);
-  EXPECT_EQ(a.sync_insts, b.sync_insts);
-  EXPECT_EQ(a.replay_global_divergence, b.replay_global_divergence);
-  EXPECT_EQ(a.replay_const_miss, b.replay_const_miss);
-  EXPECT_EQ(a.replay_const_divergence, b.replay_const_divergence);
-  EXPECT_EQ(a.replay_shared_conflict, b.replay_shared_conflict);
-  EXPECT_EQ(a.global_requests, b.global_requests);
-  EXPECT_EQ(a.global_transactions, b.global_transactions);
-  EXPECT_EQ(a.l2_transactions, b.l2_transactions);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.const_requests, b.const_requests);
-  EXPECT_EQ(a.const_misses, b.const_misses);
-  EXPECT_EQ(a.tex_requests, b.tex_requests);
-  EXPECT_EQ(a.tex_transactions, b.tex_transactions);
-  EXPECT_EQ(a.tex_misses, b.tex_misses);
-  EXPECT_EQ(a.shared_requests, b.shared_requests);
-  EXPECT_EQ(a.shared_conflicts, b.shared_conflicts);
-  EXPECT_EQ(a.dram_requests, b.dram_requests);
-  EXPECT_EQ(a.row_hits, b.row_hits);
-  EXPECT_EQ(a.row_misses, b.row_misses);
-  EXPECT_EQ(a.row_conflicts, b.row_conflicts);
-  EXPECT_EQ(a.offchip_load_transactions, b.offchip_load_transactions);
-  EXPECT_EQ(a.shared_load_requests, b.shared_load_requests);
-  EXPECT_EQ(a.dram_load_requests, b.dram_load_requests);
-  EXPECT_EQ(a.trace_ticks, b.trace_ticks);
-  EXPECT_TRUE(same_bits(a.ilp, b.ilp)) << a.ilp << " vs " << b.ilp;
-  EXPECT_TRUE(same_bits(a.mlp, b.mlp)) << a.mlp << " vs " << b.mlp;
-  EXPECT_TRUE(same_bits(a.warps_per_sm, b.warps_per_sm));
-  ASSERT_EQ(a.banks.size(), b.banks.size());
-  for (std::size_t i = 0; i < a.banks.size(); ++i) {
-    SCOPED_TRACE("bank " + std::to_string(i));
-    EXPECT_EQ(a.banks[i].count, b.banks[i].count);
-    EXPECT_EQ(a.banks[i].interarrival.count(), b.banks[i].interarrival.count());
-    EXPECT_TRUE(same_bits(a.banks[i].interarrival.mean(),
-                          b.banks[i].interarrival.mean()));
-    EXPECT_TRUE(same_bits(a.banks[i].interarrival.variance(),
-                          b.banks[i].interarrival.variance()));
-    EXPECT_EQ(a.banks[i].service.count(), b.banks[i].service.count());
-    EXPECT_TRUE(
-        same_bits(a.banks[i].service.mean(), b.banks[i].service.mean()));
-    EXPECT_TRUE(same_bits(a.banks[i].service.variance(),
-                          b.banks[i].service.variance()));
-  }
-}
-
-// Runs `placement` through the SoA and the legacy scalar replay against the
-// same skeleton and requires bitwise-equal results.
-void expect_soa_matches_legacy(const KernelInfo& k, const DataPlacement& p,
-                               const TraceSkeleton& skel) {
-  const GpuArch& arch = kepler_arch();
-  TraceAnalyzer soa(k, arch);
-  AnalysisOptions legacy_opts;
-  legacy_opts.legacy_replay = true;
-  TraceAnalyzer legacy(k, arch, legacy_opts);
-  const PlacementEvents a = soa.analyze(p, &skel);
-  const PlacementEvents b = legacy.analyze(p, &skel);
-  expect_events_identical(a, b);
-}
-
-// The full seed-workload sweep: every benchmark of both suites, its sample
-// placement plus every figure placement. (Suite name carries "EveryWorkload"
-// so sanitizer binaries can filter the heavy sweep like the other sweeps.)
-TEST(SoaReplayEveryWorkload, MatchesLegacyBitForBit) {
-  std::vector<workloads::BenchmarkCase> cases = workloads::training_suite();
-  for (workloads::BenchmarkCase& c : workloads::evaluation_suite())
-    cases.push_back(std::move(c));
-  for (const workloads::BenchmarkCase& c : cases) {
-    SCOPED_TRACE(c.name);
-    const TraceSkeleton skel(c.kernel);
-    expect_soa_matches_legacy(c.kernel, c.sample, skel);
-    for (const workloads::PlacementTest& t : c.tests) {
-      SCOPED_TRACE(t.id);
-      expect_soa_matches_legacy(c.kernel, t.placement, skel);
-    }
-  }
 }
 
 // Every seed workload x registered arch x placement against the frozen
@@ -191,14 +105,23 @@ KernelInfo make_random_kernel(std::uint64_t seed) {
   return k;
 }
 
-TEST(SoaReplay, RandomizedSyntheticTracesMatchLegacy) {
+// The randomized traces against the simulator, the independent ground
+// truth: every order-free counter of the analysis must match.
+void expect_matches_simulator(const KernelInfo& k, const DataPlacement& p,
+                              const TraceSkeleton& skel) {
+  const GpuArch& arch = kepler_arch();
+  const PlacementEvents ev = analyze_trace(k, p, arch, {}, &skel);
+  testutil::expect_counters_match(ev, simulate(k, p, arch).counters);
+}
+
+TEST(SoaReplay, RandomizedSyntheticTracesMatchSimulator) {
   const GpuArch& arch = kepler_arch();
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const KernelInfo k = make_random_kernel(seed);
     const TraceSkeleton skel(k);
     std::mt19937_64 rng(seed * 77ull + 5ull);
-    expect_soa_matches_legacy(k, DataPlacement::defaults(k), skel);
+    expect_matches_simulator(k, DataPlacement::defaults(k), skel);
     int tried = 0;
     for (int cand = 0; cand < 24 && tried < 8; ++cand) {
       DataPlacement p = DataPlacement::defaults(k);
@@ -209,51 +132,30 @@ TEST(SoaReplay, RandomizedSyntheticTracesMatchLegacy) {
       if (validate_placement(k, p, arch).has_value()) continue;
       ++tried;
       SCOPED_TRACE("candidate " + std::to_string(cand));
-      expect_soa_matches_legacy(k, p, skel);
+      expect_matches_simulator(k, p, skel);
     }
     EXPECT_GT(tried, 0);
   }
 }
 
-// The environment escape hatch must select the same legacy path (and the
-// analyzer must latch it at construction, like the other GPUHMS_* knobs).
-TEST(SoaReplay, LegacyReplayEnvMatchesSoa) {
-  const workloads::BenchmarkCase c = workloads::get_benchmark("matrixmul");
-  const TraceSkeleton skel(c.kernel);
-  const GpuArch& arch = kepler_arch();
-  TraceAnalyzer soa(c.kernel, arch);
-  const PlacementEvents a = soa.analyze(c.sample, &skel);
-  PlacementEvents b;
-  {
-    testutil::ScopedEnv env("GPUHMS_LEGACY_REPLAY", "1");
-    TraceAnalyzer legacy(c.kernel, arch);
-    b = legacy.analyze(c.sample, &skel);
-  }
-  expect_events_identical(a, b);
-}
-
-// End-to-end: predictions (the models consume the events wholesale) must be
-// bit-identical across the two replay engines.
-TEST(SoaReplay, PredictionsMatchLegacyBitForBit) {
+// Predictions must not depend on which skeleton instance or analyzer scratch
+// served them: the predictor's own skeleton with a fresh analyzer, and a
+// transient skeleton with one analyzer reused across every placement.
+TEST(SoaReplay, PredictionsIndependentOfSkeletonAndScratch) {
   const workloads::BenchmarkCase c = workloads::get_benchmark("matrixmul");
   Predictor pred(c.kernel, kepler_arch());
   pred.profile_sample(c.sample);
-  pred.memoize_trace();
-  std::vector<Prediction> soa;
-  for (const workloads::PlacementTest& t : c.tests)
-    soa.push_back(pred.predict(t.placement));
-  testutil::ScopedEnv env("GPUHMS_LEGACY_REPLAY", "1");
-  Predictor legacy_pred(c.kernel, kepler_arch());
-  legacy_pred.profile_sample(c.sample);
-  legacy_pred.memoize_trace();
-  for (std::size_t i = 0; i < c.tests.size(); ++i) {
-    SCOPED_TRACE(c.tests[i].id);
-    const Prediction l = legacy_pred.predict(c.tests[i].placement);
-    EXPECT_TRUE(same_bits(soa[i].total_cycles, l.total_cycles));
-    EXPECT_TRUE(same_bits(soa[i].t_comp, l.t_comp));
-    EXPECT_TRUE(same_bits(soa[i].t_mem, l.t_mem));
-    EXPECT_TRUE(same_bits(soa[i].t_overlap, l.t_overlap));
-    EXPECT_TRUE(same_bits(soa[i].amat, l.amat));
+  const TraceSkeleton transient(c.kernel);
+  TraceAnalyzer reused = pred.make_analyzer();
+  for (const workloads::PlacementTest& t : c.tests) {
+    SCOPED_TRACE(t.id);
+    const Prediction a = pred.predict(t.placement);
+    const Prediction b = pred.predict_with(t.placement, &reused, &transient);
+    EXPECT_TRUE(same_bits(a.total_cycles, b.total_cycles));
+    EXPECT_TRUE(same_bits(a.t_comp, b.t_comp));
+    EXPECT_TRUE(same_bits(a.t_mem, b.t_mem));
+    EXPECT_TRUE(same_bits(a.t_overlap, b.t_overlap));
+    EXPECT_TRUE(same_bits(a.amat, b.amat));
   }
 }
 

@@ -109,6 +109,11 @@ TEST(Validate, ArchRejectsNonWarpSize32AndOddCacheLine) {
   arch = kepler_arch();
   arch.cache_line = 100;  // not a power of two
   EXPECT_EQ(validate(arch).code(), StatusCode::kInvalidArgument);
+  arch = kepler_arch();
+  arch.shared_banks = 65;  // beyond shared_conflict_degree's bank table
+  EXPECT_EQ(validate(arch).code(), StatusCode::kInvalidArgument);
+  arch.shared_banks = 64;
+  EXPECT_TRUE(validate(arch).ok());
 }
 
 TEST(Validate, KernelRejectsMissingFnAndBadGeometry) {
