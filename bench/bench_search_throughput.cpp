@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -55,16 +56,16 @@ struct Measurement {
 // Last recorded walls (ms, best of 2, one hardware thread, RelWithDebInfo)
 // of the deleted variants, from BENCH_search.json at cap kFrozenCap.
 constexpr std::size_t kFrozenCap = 96;
+constexpr const char* kFrozenVariants[] = {"serial_seed", "scalar_replay",
+                                           "parallel"};
 struct FrozenBaseline {
   const char* workload;
-  double serial_seed_ms;
-  double scalar_replay_ms;
-  double parallel_ms;
+  double wall_ms[3];  // kFrozenVariants order
 };
 constexpr FrozenBaseline kFrozen[] = {
-    {"matrixmul", 7678.296, 2488.959, 6824.644},
-    {"spmv", 1087.71, 664.942, 1243.299},
-    {"cfd", 241.792, 120.168, 231.652},
+    {"matrixmul", {7678.296, 2488.959, 6824.644}},
+    {"spmv", {1087.71, 664.942, 1243.299}},
+    {"cfd", {241.792, 120.168, 231.652}},
 };
 
 const FrozenBaseline* frozen_baseline(const std::string& workload) {
@@ -202,22 +203,17 @@ int main(int argc, char** argv) {
 
     const FrozenBaseline* frozen = frozen_baseline(c.name);
     const double serial_ms =
-        at_frozen_cap && frozen != nullptr ? frozen->serial_seed_ms : 0.0;
+        at_frozen_cap && frozen != nullptr ? frozen->wall_ms[0] : 0.0;
     if (serial_ms > 0.0) {
-      std::printf("  %-26s %10.1f %12s %10s %7.2fx  (frozen)\n", "serial_seed",
-                  serial_ms, "-", "-", 1.0);
-      std::printf("  %-26s %10.1f %12s %10s %7.2fx  (frozen)\n",
-                  "scalar_replay", frozen->scalar_replay_ms, "-", "-",
-                  serial_ms / frozen->scalar_replay_ms);
-      std::printf("  %-26s %10.1f %12s %10s %7.2fx  (frozen)\n", "parallel",
-                  frozen->parallel_ms, "-", "-",
-                  serial_ms / frozen->parallel_ms);
-      std::fprintf(json,
-                   "        \"frozen\": {\"serial_seed_wall_ms\": %.3f, "
-                   "\"scalar_replay_wall_ms\": %.3f, "
-                   "\"parallel_wall_ms\": %.3f},\n",
-                   frozen->serial_seed_ms, frozen->scalar_replay_ms,
-                   frozen->parallel_ms);
+      std::fprintf(json, "        \"frozen_wall_ms\": {");
+      for (std::size_t f = 0; f < std::size(kFrozenVariants); ++f) {
+        std::printf("  %-26s %10.1f %12s %10s %7.2fx  (frozen)\n",
+                    kFrozenVariants[f], frozen->wall_ms[f], "-", "-",
+                    serial_ms / frozen->wall_ms[f]);
+        std::fprintf(json, "%s\"%s\": %.3f", f ? ", " : "",
+                     kFrozenVariants[f], frozen->wall_ms[f]);
+      }
+      std::fprintf(json, "},\n");
     }
     double soa_ms = 0.0;
     SearchResult reference;
