@@ -19,7 +19,6 @@
 #include "model/predictor.hpp"
 #include "model/trace_analysis.hpp"
 #include "trace/generator.hpp"
-#include "trace/soa.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
