@@ -5,7 +5,9 @@
 // mlp / warps_per_sm, and one 64-bit FNV-1a digest over each bank's request
 // count and the bits of its inter-arrival and service RunningStat means and
 // variances. The placements are the sample plus every test placement of the
-// training and evaluation suites.
+// training and evaluation suites. A second set of entries covers randomized
+// synthetic kernels on kepler (make_synthetic_kernel): their default
+// placement plus up to eight legal random placements per seed.
 //
 // The checked-in file was written by the scalar per-op replay (the
 // analyzer's original engine, since replaced by the SoA engine) and matched
@@ -22,6 +24,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,6 +130,72 @@ inline void expect_counters_match(const PlacementEvents& ev,
   EXPECT_EQ(ev.replay_shared_conflict, sim.replay_shared_conflict);
 }
 
+// A randomized synthetic kernel: irregular masks (including fully
+// predicated-off warps), unsorted and duplicate lane indices, random
+// dependencies and mixed compute/sync streams — the trace shapes the seed
+// workloads are too regular to produce.
+inline KernelInfo make_synthetic_kernel(std::uint64_t seed) {
+  std::mt19937_64 setup(seed);
+  KernelInfo k;
+  k.name = "soa_synth_" + std::to_string(seed);
+  const int num_arrays = 3 + static_cast<int>(setup() % 3);
+  for (int a = 0; a < num_arrays; ++a) {
+    ArrayDecl d;
+    d.name = "arr" + std::to_string(a);
+    d.dtype = DType::F32;
+    d.elems = 512 + setup() % 1024;
+    d.width = setup() % 2 == 0 ? 32 : 0;
+    d.written = setup() % 3 == 0;
+    d.shared_slice_elems = 128;
+    d.default_space = MemSpace::Global;
+    k.arrays.push_back(d);
+  }
+  k.num_blocks = 6;
+  k.threads_per_block = 64;
+  std::vector<std::uint64_t> elems;
+  std::vector<bool> written;
+  for (const ArrayDecl& d : k.arrays) {
+    elems.push_back(d.elems);
+    written.push_back(d.written);
+  }
+  k.fn = [seed, num_arrays, elems, written](WarpEmitter& e,
+                                            const WarpCtx& ctx) {
+    std::mt19937_64 rng(seed ^ (static_cast<std::uint64_t>(ctx.block) *
+                                    0x9e3779b97f4a7c15ull +
+                                static_cast<std::uint64_t>(ctx.warp_in_block)));
+    const int nops = 8 + static_cast<int>(rng() % 12);
+    for (int j = 0; j < nops; ++j) {
+      switch (rng() % 6) {
+        case 0:
+          e.ialu(1 + static_cast<int>(rng() % 3), rng() % 2 == 0);
+          break;
+        case 1:
+          e.falu(1, rng() % 2 == 0);
+          break;
+        case 2:
+          e.sync();
+          break;
+        default: {
+          const int a = static_cast<int>(rng() % num_arrays);
+          const bool fully_masked = rng() % 13 == 0;
+          const LaneIdx idx = e.by_lane([&](int) -> std::int64_t {
+            if (fully_masked || rng() % 8 == 0) return kInactiveLane;
+            // Unsorted with duplicates: uniform random over the array.
+            return static_cast<std::int64_t>(rng() % elems[a]);
+          });
+          if (written[a] && rng() % 3 == 0) {
+            e.store(a, idx, rng() % 2 == 0);
+          } else {
+            e.load(a, idx, rng() % 2 == 0);
+          }
+          break;
+        }
+      }
+    }
+  };
+  return k;
+}
+
 // Every golden case: the workloads own the kernels the cases point into.
 struct GoldenCases {
   struct Case {
@@ -156,11 +225,38 @@ struct GoldenCases {
                            skeletons[b].get(), t.placement});
       }
     }
+    // Synthetic kernels: the default placement, then random draws over each
+    // array's legal spaces until eight validate (at most 24 draws).
+    const GpuArch& kepler = kepler_arch();
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      const KernelInfo& k = *synth_kernels.emplace_back(
+          std::make_unique<KernelInfo>(make_synthetic_kernel(seed)));
+      const TraceSkeleton* skel =
+          skeletons.emplace_back(std::make_unique<TraceSkeleton>(k)).get();
+      const std::string prefix = "kepler/" + k.name + "/";
+      synth.push_back({prefix + "default", "kepler", &kepler, &k, skel,
+                       DataPlacement::defaults(k)});
+      std::mt19937_64 rng(seed * 77ull + 5ull);
+      int tried = 0;
+      for (int cand = 0; cand < 24 && tried < 8; ++cand) {
+        DataPlacement p = DataPlacement::defaults(k);
+        for (int a = 0; a < static_cast<int>(k.arrays.size()); ++a) {
+          const std::vector<MemSpace> spaces = legal_spaces(k, a, kepler);
+          p.set(a, spaces[rng() % spaces.size()]);
+        }
+        if (validate_placement(k, p, kepler).has_value()) continue;
+        ++tried;
+        synth.push_back({prefix + "candidate" + std::to_string(cand), "kepler",
+                         &kepler, &k, skel, p});
+      }
+    }
   }
 
   std::vector<workloads::BenchmarkCase> benches;
+  std::vector<std::unique_ptr<KernelInfo>> synth_kernels;
   std::vector<std::unique_ptr<TraceSkeleton>> skeletons;
-  std::vector<Case> cases;
+  std::vector<Case> cases;  // seed workloads x registered archs
+  std::vector<Case> synth;  // synthetic kernels on kepler
 };
 
 // id -> golden line, as written by golden_line (an empty map when the file

@@ -1,10 +1,10 @@
 // Lock-in for the data-oriented SoA replay engine (src/trace/soa.*), the
 // trace analyzer's only engine: bit-for-bit against the frozen outputs of the
-// scalar per-op replay it replaced (tests/golden/analyzer_events.json), and
-// against the simulator's counters on randomized synthetic kernels.
+// scalar per-op replay it replaced (tests/golden/analyzer_events.json) on the
+// seed workloads and on randomized synthetic kernels, whose order-free
+// counters are also checked against the simulator.
 #include <cstdint>
 #include <cstring>
-#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,7 +28,7 @@ TEST(SoaReplayEveryWorkload, MatchesGoldenBitForBit) {
   const auto golden = testutil::load_analyzer_golden(
       std::string(GPUHMS_GOLDEN_DIR) + "/analyzer_events.json");
   const testutil::GoldenCases cases;
-  ASSERT_EQ(golden.size(), cases.cases.size());
+  ASSERT_EQ(golden.size(), cases.cases.size() + cases.synth.size());
   for (const testutil::GoldenCases::Case& c : cases.cases) {
     const auto it = golden.find(c.id);
     ASSERT_NE(it, golden.end()) << c.id;
@@ -39,102 +39,23 @@ TEST(SoaReplayEveryWorkload, MatchesGoldenBitForBit) {
   }
 }
 
-// Randomized synthetic kernels: irregular masks (including fully
-// predicated-off warps), unsorted and duplicate lane indices, random
-// dependencies and mixed compute/sync streams — the trace shapes the seed
-// workloads are too regular to produce.
-KernelInfo make_random_kernel(std::uint64_t seed) {
-  std::mt19937_64 setup(seed);
-  KernelInfo k;
-  k.name = "soa_synth_" + std::to_string(seed);
-  const int num_arrays = 3 + static_cast<int>(setup() % 3);
-  for (int a = 0; a < num_arrays; ++a) {
-    ArrayDecl d;
-    d.name = "arr" + std::to_string(a);
-    d.dtype = DType::F32;
-    d.elems = 512 + setup() % 1024;
-    d.width = setup() % 2 == 0 ? 32 : 0;
-    d.written = setup() % 3 == 0;
-    d.shared_slice_elems = 128;
-    d.default_space = MemSpace::Global;
-    k.arrays.push_back(d);
-  }
-  k.num_blocks = 6;
-  k.threads_per_block = 64;
-  std::vector<std::uint64_t> elems;
-  std::vector<bool> written;
-  for (const ArrayDecl& d : k.arrays) {
-    elems.push_back(d.elems);
-    written.push_back(d.written);
-  }
-  k.fn = [seed, num_arrays, elems, written](WarpEmitter& e,
-                                            const WarpCtx& ctx) {
-    std::mt19937_64 rng(seed ^ (static_cast<std::uint64_t>(ctx.block) *
-                                    0x9e3779b97f4a7c15ull +
-                                static_cast<std::uint64_t>(ctx.warp_in_block)));
-    const int nops = 8 + static_cast<int>(rng() % 12);
-    for (int j = 0; j < nops; ++j) {
-      switch (rng() % 6) {
-        case 0:
-          e.ialu(1 + static_cast<int>(rng() % 3), rng() % 2 == 0);
-          break;
-        case 1:
-          e.falu(1, rng() % 2 == 0);
-          break;
-        case 2:
-          e.sync();
-          break;
-        default: {
-          const int a = static_cast<int>(rng() % num_arrays);
-          const bool fully_masked = rng() % 13 == 0;
-          const LaneIdx idx = e.by_lane([&](int) -> std::int64_t {
-            if (fully_masked || rng() % 8 == 0) return kInactiveLane;
-            // Unsorted with duplicates: uniform random over the array.
-            return static_cast<std::int64_t>(rng() % elems[a]);
-          });
-          if (written[a] && rng() % 3 == 0) {
-            e.store(a, idx, rng() % 2 == 0);
-          } else {
-            e.load(a, idx, rng() % 2 == 0);
-          }
-          break;
-        }
-      }
-    }
-  };
-  return k;
-}
-
-// The randomized traces against the simulator, the independent ground
-// truth: every order-free counter of the analysis must match.
-void expect_matches_simulator(const KernelInfo& k, const DataPlacement& p,
-                              const TraceSkeleton& skel) {
-  const GpuArch& arch = kepler_arch();
-  const PlacementEvents ev = analyze_trace(k, p, arch, {}, &skel);
-  testutil::expect_counters_match(ev, simulate(k, p, arch).counters);
-}
-
-TEST(SoaReplay, RandomizedSyntheticTracesMatchSimulator) {
-  const GpuArch& arch = kepler_arch();
-  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const KernelInfo k = make_random_kernel(seed);
-    const TraceSkeleton skel(k);
-    std::mt19937_64 rng(seed * 77ull + 5ull);
-    expect_matches_simulator(k, DataPlacement::defaults(k), skel);
-    int tried = 0;
-    for (int cand = 0; cand < 24 && tried < 8; ++cand) {
-      DataPlacement p = DataPlacement::defaults(k);
-      for (int a = 0; a < static_cast<int>(k.arrays.size()); ++a) {
-        const std::vector<MemSpace> spaces = legal_spaces(k, a, arch);
-        p.set(a, spaces[rng() % spaces.size()]);
-      }
-      if (validate_placement(k, p, arch).has_value()) continue;
-      ++tried;
-      SCOPED_TRACE("candidate " + std::to_string(cand));
-      expect_matches_simulator(k, p, skel);
-    }
-    EXPECT_GT(tried, 0);
+// The randomized synthetic kernels (testutil::make_synthetic_kernel) bit
+// for bit against their frozen outputs, and their order-free counters
+// against the simulator, the independent ground truth.
+TEST(SoaReplay, RandomizedSyntheticTracesMatchGoldenAndSimulator) {
+  const auto golden = testutil::load_analyzer_golden(
+      std::string(GPUHMS_GOLDEN_DIR) + "/analyzer_events.json");
+  const testutil::GoldenCases cases;
+  ASSERT_EQ(cases.synth.size(), 27u);  // 3 seeds x (default + 8 candidates)
+  for (const testutil::GoldenCases::Case& c : cases.synth) {
+    SCOPED_TRACE(c.id);
+    const auto it = golden.find(c.id);
+    ASSERT_NE(it, golden.end());
+    const PlacementEvents ev =
+        analyze_trace(*c.kernel, c.placement, *c.arch, {}, c.skeleton);
+    EXPECT_EQ(testutil::golden_line(c.id, ev), it->second);
+    testutil::expect_counters_match(
+        ev, simulate(*c.kernel, c.placement, *c.arch).counters);
   }
 }
 

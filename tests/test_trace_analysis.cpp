@@ -137,12 +137,14 @@ int write_golden(const char* path) {
   }
   std::fprintf(f, "{\n  \"source\": \"test_trace_analysis --write-golden\",\n"
                   "  \"entries\": [\n");
-  for (std::size_t i = 0; i < golden.cases.size(); ++i) {
-    const testutil::GoldenCases::Case& c = golden.cases[i];
+  std::vector<const testutil::GoldenCases::Case*> all;
+  for (const auto* list : {&golden.cases, &golden.synth})
+    for (const testutil::GoldenCases::Case& c : *list) all.push_back(&c);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const testutil::GoldenCases::Case& c = *all[i];
     const std::string line = testutil::golden_line(
         c.id, analyze_trace(*c.kernel, c.placement, *c.arch, {}, c.skeleton));
-    std::fprintf(f, "    %s%s\n", line.c_str(),
-                 i + 1 < golden.cases.size() ? "," : "");
+    std::fprintf(f, "    %s%s\n", line.c_str(), i + 1 < all.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   if (std::fclose(f) != 0) {
@@ -150,7 +152,7 @@ int write_golden(const char* path) {
     return 1;
   }
   std::printf("wrote analyzer golden file: %s (%zu entries)\n", path,
-              golden.cases.size());
+              all.size());
   return 0;
 }
 
