@@ -1,7 +1,6 @@
 #include "trace/allocation.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/check.hpp"
 
@@ -34,11 +33,6 @@ std::uint64_t alloc_bytes(const ArrayDecl& a) {
 
 }  // namespace
 
-std::uint64_t shared_segment_align(const GpuArch& arch) {
-  return std::lcm(kSharedAlign,
-                  4 * static_cast<std::uint64_t>(arch.shared_banks));
-}
-
 MemoryLayout::MemoryLayout(const KernelInfo& kernel,
                            const DataPlacement& placement, const GpuArch& arch)
     : kernel_(&kernel), placement_(&placement) {
@@ -55,12 +49,11 @@ MemoryLayout::MemoryLayout(const KernelInfo& kernel,
     device_cursor_ = align_up(device_base_[i] + alloc_bytes(kernel.arrays[i]),
                               kDeviceAlign);
   }
-  const std::uint64_t shared_align = shared_segment_align(arch);
   for (std::size_t i = 0; i < kernel.arrays.size(); ++i) {
     if (placement.of(static_cast<int>(i)) != MemSpace::Shared) continue;
     shared_offset_[i] = shared_cursor_;
     shared_cursor_ = align_up(
-        shared_cursor_ + kernel.arrays[i].shared_slice_bytes(), shared_align);
+        shared_cursor_ + kernel.arrays[i].shared_slice_bytes(), kSharedAlign);
   }
   GPUHMS_CHECK_MSG(shared_cursor_ <= arch.shared_capacity,
                    "placement exceeds shared capacity (validate first)");

@@ -8,7 +8,7 @@
 //     block-linear layout within the allocation (allocations are padded for
 //     the tile grid);
 //   * arrays placed in shared memory get a per-block shared-memory offset,
-//     assigned sequentially with shared_segment_align (128 B) alignment.
+//     assigned sequentially with 128 B alignment.
 //
 // Shared indexing convention: a global element index maps into the block's
 // slice by modulo (slice-local indices pass through unchanged when the DSL
@@ -25,15 +25,11 @@
 
 namespace gpuhms {
 
-// Base alignment of each array's per-block shared-memory segment.
+// Alignment of each array's per-block shared-memory segment. Any multiple of
+// the 4-byte bank word works for the SoA shared-conflict fold: shifting
+// every word of an access by the same amount only permutes the banks, so
+// each access's conflict degree is the same at every segment offset.
 inline constexpr std::uint64_t kSharedAlign = 128;
-
-// Segment alignment actually used on `arch`: kSharedAlign rounded up to a
-// whole number of bank rotations (4-byte words x shared_banks), so moving a
-// segment shifts every word by a multiple of the bank count and leaves each
-// access's bank-conflict degree unchanged — the invariance the SoA
-// shared-conflict fold relies on. 128 on every registered backend.
-std::uint64_t shared_segment_align(const GpuArch& arch);
 
 class MemoryLayout {
  public:

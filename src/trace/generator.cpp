@@ -223,12 +223,13 @@ const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(
   FoldTable& table = fold_table(num_banks);
   const std::size_t a = static_cast<std::size_t>(array);
   std::call_once(table.once[a], [&] {
-    // Degrees are computed on the slice-local byte offsets. MemoryLayout
-    // aligns every shared base offset to a multiple of the bank stride
-    // 4 * num_banks (shared_segment_align), so the base shifts every word by
-    // a whole number of bank rotations: distinctness and bank assignment —
-    // hence the conflict degree — match shared_conflict_degree on the real
-    // addresses of any placement.
+    // Degrees are computed on the slice-local byte offsets. Every shared
+    // base offset is a multiple of the 4-byte word (kSharedAlign), so a base
+    // shifts every word of an access by the same count: word distinctness is
+    // unchanged and the banks are only permuted, so the conflict degree (the
+    // largest per-bank count of distinct words) matches
+    // shared_conflict_degree on the real addresses of any placement, for
+    // any bank count.
     const ArrayDecl& arr = kernel_->arrays[a];
     const std::int64_t slice =
         static_cast<std::int64_t>(arr.shared_slice_elems ? arr.shared_slice_elems

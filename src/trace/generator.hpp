@@ -155,11 +155,10 @@ class TraceSkeleton {
 
   // Shared-memory bank-conflict degrees per ordinal plus their fold. The
   // slice-local byte offset of an element is placement-invariant and the
-  // placement-dependent base offset is a multiple of the bank stride
-  // 4 * num_banks (shared_segment_align), so the degrees match
-  // shared_conflict_degree on the real addresses of ANY placement that puts
-  // the array in shared memory (the offset shifts every word by a multiple
-  // of num_banks). Memoized per (array, num_banks) — each bank geometry gets
+  // placement-dependent base offset is a whole number of 4-byte words, so
+  // the degrees match shared_conflict_degree on the real addresses of ANY
+  // placement that puts the array in shared memory (the offset shifts every
+  // word by the same count, which only permutes the banks). Memoized per (array, num_banks) — each bank geometry gets
   // its own fold table, so archs with different shared_banks can share one
   // skeleton without aliasing each other's degrees.
   struct SharedFold {

@@ -215,11 +215,11 @@ TEST(TraceSkeletonMemo, TwoArchsShareOneSkeletonWithoutAliasing) {
 
 // --- SoA shared-conflict fold on any bank count ------------------------------
 
-// The fold keys on the active arch's bank count, and MemoryLayout aligns
-// shared segments to whole bank rotations of it, so the fold also holds for
-// bank counts that do not divide kSharedAlign / 4 — 24 and 64 banks here,
-// which no registered backend uses. It must count the conflicts the
-// simulator measures on the real shared addresses.
+// The fold keys on the active arch's bank count, and a word-aligned
+// segment base only permutes the banks, so the fold also holds for bank
+// counts that do not divide kSharedAlign / 4 — 24 and 64 banks here, which
+// no registered backend uses. It must count the conflicts the simulator
+// measures on the real shared addresses.
 TEST(SoaReplay, SharedFoldExactOnAnyBankCount) {
   const KernelInfo kernel = workloads::make_transpose(64);
   const TraceSkeleton skeleton(kernel);
@@ -229,7 +229,6 @@ TEST(SoaReplay, SharedFoldExactOnAnyBankCount) {
     GpuArch arch = kepler_arch();
     arch.shared_banks = banks;
     ASSERT_TRUE(validate(arch).ok());
-    EXPECT_EQ(shared_segment_align(arch) % (4u * banks), 0u);
     int shared_placed = 0;
     for (std::size_t a = 0; a < kernel.arrays.size(); ++a) {
       const DataPlacement p = base.with(static_cast<int>(a), MemSpace::Shared);
@@ -245,10 +244,6 @@ TEST(SoaReplay, SharedFoldExactOnAnyBankCount) {
     }
     EXPECT_GT(shared_placed, 0);
   }
-  // Every registered backend keeps the historical 128 B alignment.
-  for (const std::string& name : ArchRegistry::builtin().names())
-    EXPECT_EQ(shared_segment_align(ArchRegistry::builtin().find(name)->arch),
-              kSharedAlign);
 }
 
 // Every registered backend reproduces the frozen scalar-replay outputs on
