@@ -171,9 +171,9 @@ std::uint64_t fingerprint(const ModelOptions& options) {
 // --- service -----------------------------------------------------------------
 
 // The heavyweight per-kernel state a long-lived service amortizes: the
-// benchmark definition (owning the KernelInfo the predictor points into),
-// one profiled Predictor, and the lowered TraceSkeleton shared by every
-// prediction of this kernel. Immutable once published to the cache; the
+// benchmark definition (owning the KernelInfo the predictor points into)
+// and one profiled Predictor, whose TraceSkeleton serves every prediction
+// of this kernel. Immutable once published to the cache; the
 // shared_ptr keeps an entry alive while in use even after LRU eviction.
 struct PredictionService::KernelEntry {
   workloads::BenchmarkCase bench;
@@ -183,7 +183,6 @@ struct PredictionService::KernelEntry {
   GpuArch arch;
   std::string arch_name;  // "" for the service default
   std::unique_ptr<Predictor> predictor;
-  std::shared_ptr<const TraceSkeleton> skeleton;
   // Prediction-cache key prefix: kernel|arch|model fingerprints. The arch
   // fingerprint mixes the full address-map spec, so entries for different
   // backends (even ones differing only in their bank decode) never alias.
@@ -355,7 +354,6 @@ StatusOr<PredictionService::KernelEntryPtr> PredictionService::kernel_entry(
       entry->predictor->try_profile_sample(entry->bench.sample)
           .annotate("profiling the sample placement of benchmark '" +
                     benchmark + "'"));
-  entry->skeleton = entry->predictor->memoize_trace();
   entry->key_prefix = hex64(fingerprint(entry->bench.kernel)) + "|" +
                       hex64(fingerprint(entry->arch)) + "|" +
                       hex64(fingerprint(model_options)) + "|";
