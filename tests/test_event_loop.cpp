@@ -24,6 +24,7 @@
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "serve/session.hpp"
+#include "serve_transcript.hpp"
 
 namespace gpuhms {
 namespace {
@@ -164,18 +165,6 @@ int connect_or_die(const std::string& path) {
   return -1;
 }
 
-bool send_all(int fd, const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t w =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return false;
-    sent += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
 // Reads complete response lines until `want` arrive, EOF, or the deadline.
 std::vector<std::string> read_lines(int fd, std::size_t want,
                                     std::chrono::milliseconds timeout) {
@@ -201,31 +190,6 @@ std::vector<std::string> read_lines(int fd, std::size_t want,
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // EOF
     framer.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
-  }
-  return lines;
-}
-
-// Reads until the server closes the connection, returning every line.
-std::vector<std::string> read_until_eof(int fd,
-                                        std::chrono::milliseconds timeout) {
-  std::vector<std::string> lines;
-  serve::LineFramer framer;
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  char chunk[1 << 14];
-  for (;;) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (remaining <= 0ms) break;
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready <= 0) break;
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    framer.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
-    for (std::string& line : framer.take_lines(1u << 20))
-      lines.push_back(std::move(line));
   }
   return lines;
 }
@@ -285,7 +249,7 @@ TEST(EventLoopServer, HoldsAThousandIdleConnectionsUnderTheFdBudget) {
   for (int i = 0; i < 3; ++i) {
     const std::string request =
         "{\"id\":" + std::to_string(i) + ",\"op\":\"health\"}\n";
-    ASSERT_TRUE(send_all(active, request));
+    ASSERT_TRUE(testutil::send_all_bytes(active, request));
     const std::vector<std::string> lines = read_lines(active, 1, 10s);
     ASSERT_EQ(lines.size(), 1u) << "round-trip " << i;
     EXPECT_EQ(response_id(lines[0]), static_cast<double>(i));
@@ -321,7 +285,7 @@ TEST(EventLoopServer, SlowReaderStallsDispatchWithinTheWriteBufferBound) {
     burst += "{\"id\":" + std::to_string(i) + ",\"op\":\"metrics\"}\n";
   // Send everything without reading a byte: the session must stall dispatch
   // once kWriteBound of responses back up, not buffer all of them.
-  ASSERT_TRUE(send_all(fd, burst));
+  ASSERT_TRUE(testutil::send_all_bytes(fd, burst));
   std::this_thread::sleep_for(200ms);  // let it stall, then start reading
 
   const std::vector<std::string> lines =
@@ -368,7 +332,7 @@ TEST(EventLoopServer, DrainUnderLoadLosesAndMisroutesNothing) {
       burst += "{\"id\":" + std::to_string(c * 1000 + i) +
                ",\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
                "\"G,G,G\"}\n";
-    ASSERT_TRUE(send_all(fd, burst));
+    ASSERT_TRUE(testutil::send_all_bytes(fd, burst));
   }
   // Every connection must be PAST the accept queue before the drain closes
   // the listener (a backlogged connection would be dropped unanswered, which
@@ -385,7 +349,7 @@ TEST(EventLoopServer, DrainUnderLoadLosesAndMisroutesNothing) {
   harness.server.begin_drain();
 
   for (int c = 0; c < kConnections; ++c) {
-    const std::vector<std::string> lines = read_until_eof(fds[c], 60s);
+    const std::vector<std::string> lines = testutil::read_lines_until_eof(fds[c], 60s);
     ASSERT_EQ(lines.size(), static_cast<std::size_t>(kPerConnection))
         << "connection " << c << " lost responses in the drain";
     for (int i = 0; i < kPerConnection; ++i) {
@@ -409,47 +373,24 @@ TEST(EventLoopServer, DrainUnderLoadLosesAndMisroutesNothing) {
             static_cast<std::uint64_t>(kConnections * kPerConnection));
 }
 
-// --- backend differential ----------------------------------------------------
+// --- frozen transcript -------------------------------------------------------
 
-// One scripted conversation (no time-dependent verbs), byte-for-byte.
-std::vector<std::string> run_script_against(serve::ServerBackend backend,
-                                            const char* tag) {
-  serve::ServerOptions server_options;
-  server_options.socket_path = test_socket_path(tag);
-  server_options.backend = backend;
-  ServerHarness harness{serve::ServeOptions{}, server_options};
-
-  const int fd = connect_or_die(server_options.socket_path);
-  EXPECT_GE(fd, 0);
-  const std::string script =
-      "{\"id\":1,\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
-      "\"G,G,G\"}\n"
-      "{\"id\":2,\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
-      "\"bogus\"}\n"
-      "{\"id\":3,\"op\":\"search\",\"benchmark\":\"triad\",\"algo\":"
-      "\"exhaustive\",\"cap\":16}\n"
-      "{\"id\":4,\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
-      "\"G,G,G\",\"idem\":\"differential-idem\"}\n"
-      "{\"id\":5,\"op\":\"shutdown\"}\n"
-      "{\"id\":6,\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
-      "\"G,G,G\",\"idem\":\"differential-idem\"}\n";
-  EXPECT_TRUE(send_all(fd, script));
-  const std::vector<std::string> lines = read_until_eof(fd, 60s);
-  ::close(fd);
-  EXPECT_EQ(harness.join(), 0);
-  return lines;
-}
-
-TEST(EventLoopServer, ByteIdenticalResponsesAcrossServerBackends) {
-  const std::vector<std::string> event_loop =
-      run_script_against(serve::ServerBackend::kEventLoop, "diff_event");
-  const std::vector<std::string> threaded = run_script_against(
-      serve::ServerBackend::kThreadPerConnection, "diff_threaded");
-  ASSERT_EQ(event_loop.size(), 6u);
-  EXPECT_EQ(event_loop, threaded);
-  // Spot-check the interesting ones: the trailing idem retry behind the
-  // shutdown sheds FAILED_PRECONDITION (never replays) on BOTH backends.
-  StatusOr<serve::Json> last = serve::Json::parse(event_loop.back());
+TEST(EventLoopServer, ReproducesTheFrozenTranscript) {
+  const std::vector<std::string> golden = testutil::load_transcript_golden();
+  ASSERT_EQ(golden.size(), 6u) << testutil::transcript_golden_path();
+  for (const serve::ServerBackend backend :
+       {serve::ServerBackend::kEventLoop,
+        serve::ServerBackend::kThreadPerConnection}) {
+    serve::ServerOptions server_options;
+    server_options.socket_path = test_socket_path(
+        std::string(serve::to_string(backend)).c_str());
+    server_options.backend = backend;
+    EXPECT_EQ(testutil::transcript_over_socket(server_options), golden)
+        << serve::to_string(backend);
+  }
+  // The trailing idem retry behind the shutdown sheds FAILED_PRECONDITION;
+  // it never replays.
+  StatusOr<serve::Json> last = serve::Json::parse(golden.back());
   ASSERT_TRUE(last.ok());
   EXPECT_FALSE(last->find("ok")->as_bool());
   EXPECT_EQ(last->find("error")->find("code")->as_string(),

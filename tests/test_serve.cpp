@@ -11,11 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include "arch/arch_registry.hpp"
 #include "kernel/placement.hpp"
 #include "serve/client.hpp"
 #include "serve/json.hpp"
+#include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "serve_transcript.hpp"
 #include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
@@ -722,5 +726,54 @@ TEST(ServeClient, EndToEndReplayThroughARealService) {
   EXPECT_EQ(stats.idem_hits, 1u);  // ...but the second was a byte replay
 }
 
+// Writes tests/golden/serve_transcript.jsonl (see serve_transcript.hpp)
+// from the thread-per-connection backend, after checking that the epoll
+// backend answers the script with the same bytes.
+int write_golden(const char* path) {
+  std::vector<std::vector<std::string>> answers;
+  for (const serve::ServerBackend backend :
+       {serve::ServerBackend::kThreadPerConnection,
+        serve::ServerBackend::kEventLoop}) {
+    serve::ServerOptions server_options;
+    server_options.socket_path =
+        "/tmp/gpuhms_transcript_" + std::to_string(::getpid()) + "_" +
+        std::string(serve::to_string(backend)) + ".sock";
+    server_options.backend = backend;
+    answers.push_back(testutil::transcript_over_socket(server_options));
+  }
+  if (answers[0].size() != 6 || answers[0] != answers[1]) {
+    std::fprintf(stderr, "the socket backends disagree on the transcript\n");
+    return 1;
+  }
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open '%s' for writing\n", path);
+    return 1;
+  }
+  for (const std::string& line : answers[0])
+    std::fprintf(f, "%s\n", line.c_str());
+  if (std::fclose(f) != 0) {
+    std::fprintf(stderr, "failed writing '%s'\n", path);
+    return 1;
+  }
+  std::printf("wrote serve transcript golden file: %s (%zu lines)\n", path,
+              answers[0].size());
+  return 0;
+}
+
 }  // namespace
 }  // namespace gpuhms
+
+// `--write-golden PATH` regenerates the serve transcript golden file instead
+// of running the tests.
+int main(int argc, char** argv) {
+  if (argc > 1 && std::string(argv[1]) == "--write-golden") {
+    if (argc < 3) {
+      std::fprintf(stderr, "usage: %s --write-golden PATH\n", argv[0]);
+      return 1;
+    }
+    return gpuhms::write_golden(argv[2]);
+  }
+  testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}
