@@ -230,7 +230,6 @@ ConnScalingPoint measure_conn_scaling(int target_conns,
   server_options.socket_path = "/tmp/gpuhms_bench_" +
                                std::to_string(::getpid()) + "_" +
                                std::to_string(target_conns) + ".sock";
-  server_options.listen_backlog = std::max(256, target_conns);
   serve::SocketServer server{service, server_options};
   const Status st = server.listen();
   if (!st.ok()) {
@@ -463,7 +462,6 @@ int main(int argc, char** argv) {
                "  \"warm_mt_scaling_1_to_16\": %.3f,\n"
                "  \"warm_mt_scaling_floor_applied\": %.3f,\n"
                "  \"fd_soft_limit\": %zu,\n"
-               "  \"server_backend\": \"%s\",\n"
                "  \"conn_scaling_p99_factor\": %.1f,\n"
                "  \"conn_scaling_p99_slack_us\": %.1f,\n"
                "  \"conn_scaling\": [",
@@ -477,8 +475,6 @@ int main(int argc, char** argv) {
                n / (warm_mt_ms[0] / 1000.0), n / (warm_mt_ms[1] / 1000.0),
                n / (warm_mt_ms[2] / 1000.0), n / (warm_mt_ms[3] / 1000.0),
                n / (warm_mt_ms[4] / 1000.0), mt_scaling, mt_floor, fd_limit,
-               std::string(serve::to_string(serve::ServerBackend::kEventLoop))
-                   .c_str(),
                kConnP99Factor, kConnP99SlackUs);
   for (std::size_t i = 0; i < conn_points.size(); ++i)
     std::fprintf(json,

@@ -3,11 +3,12 @@
 // Speaks the newline-delimited JSON protocol of DESIGN §11 (operator guide:
 // docs/SERVING.md) over stdin/stdout (the default; pipe requests in, read
 // responses out) or over a Unix domain socket (--socket=PATH) served by the
-// epoll event-loop backend of DESIGN §15 — one reactor thread holds every
+// epoll event loop of DESIGN §15 — one reactor thread holds every
 // connection, request batches execute on a small worker pool, and all
-// clients share one PredictionService (one kernel/prediction cache).
-// --legacy-threaded restores the PR 5 thread-per-connection loop; responses
-// are byte-identical on either backend.
+// clients share one PredictionService (one kernel/prediction cache). Stdio
+// runs serve::run_stdio, a blocking poll loop: epoll rejects the regular
+// files and /dev/null that stdin may be. Both transports live in
+// src/serve/server.hpp; this file holds flag parsing and signal plumbing.
 //
 // Quickstart (see README "Serving"):
 //   $ ./examples/gpuhms_serve
@@ -22,12 +23,9 @@
 // within --drain-timeout-ms forces exit code 3.
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -86,10 +84,6 @@ void print_help() {
       "  --socket=PATH        listen on a Unix domain socket instead of\n"
       "                       stdin/stdout (epoll event loop, one shared\n"
       "                       cache). The path is unlinked first.\n"
-      "  --legacy-threaded    socket mode only: serve with the PR 5 thread-\n"
-      "                       per-connection loop instead of the event loop\n"
-      "                       (DESIGN sec 15; responses are byte-identical\n"
-      "                       either way)\n"
       "  --executor-threads=N event-loop worker threads executing request\n"
       "                       batches off the reactor (default: hardware,\n"
       "                       clamped to [1,4])\n"
@@ -133,7 +127,9 @@ void print_help() {
 // Classic self-pipe: the handler only touches a sig_atomic_t-ish flag and
 // write(2) (both async-signal-safe); the serving loops poll the pipe's read
 // end so a signal wakes a blocked poll immediately. No SA_RESTART, so
-// blocked read(2) calls return EINTR promptly too.
+// blocked read(2) calls return EINTR promptly too. SIGPIPE is ignored: a
+// closed stdout must fail the response write with EPIPE (exit 1 with the
+// message), not kill the process silently.
 int g_signal_pipe[2] = {-1, -1};
 std::atomic<int> g_signal{0};
 
@@ -151,23 +147,9 @@ void install_signal_handlers() {
   sigemptyset(&sa.sa_mask);
   sa.sa_flags = 0;
   if (::sigaction(SIGTERM, &sa, nullptr) != 0 ||
-      ::sigaction(SIGINT, &sa, nullptr) != 0)
+      ::sigaction(SIGINT, &sa, nullptr) != 0 ||
+      ::signal(SIGPIPE, SIG_IGN) == SIG_ERR)
     die("sigaction(): " + std::string(std::strerror(errno)));
-}
-
-// Full write with EINTR handling; false means the peer is gone and the
-// responses cannot be delivered.
-bool write_all(int fd, const std::string& out) {
-  std::size_t written = 0;
-  while (written < out.size()) {
-    const ssize_t w = ::write(fd, out.data() + written, out.size() - written);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<std::size_t>(w);
-  }
-  return true;
 }
 
 void log_drain_stats(const serve::PredictionService& service, int sig) {
@@ -185,73 +167,25 @@ void log_drain_stats(const serve::PredictionService& service, int sig) {
 }
 
 // --- stdio mode --------------------------------------------------------------
-// Single-threaded fd loop (instead of run_stdio_loop) so a signal can wake
-// the blocking read via the self-pipe. A signal drains: every COMPLETE line
-// already received still gets its response (shed with UNAVAILABLE once
-// draining flips), then one structured shutdown line is emitted and the
-// process exits 0. A partial trailing line was never a complete request and
-// is dropped by construction.
+// serve::run_stdio answers every complete line; a signal stops its reads.
+// The daemon then drains the service and emits one structured shutdown line.
 int run_stdio_server(serve::PredictionService& service) {
-  serve::LineFramer framer;
-  char chunk[1 << 16];
-  bool eof = false;
-  while (!eof && !service.stopped() && g_signal.load() == 0) {
-    pollfd pfds[2] = {{STDIN_FILENO, POLLIN, 0},
-                      {g_signal_pipe[0], POLLIN, 0}};
-    const int ready = ::poll(pfds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      die("poll(): " + std::string(std::strerror(errno)));
-    }
-    if (pfds[1].revents != 0) break;  // signal: drain below
-    if ((pfds[0].revents & (POLLIN | POLLHUP)) == 0) continue;
-    const ssize_t n = ::read(STDIN_FILENO, chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      die("read(stdin): " + std::string(std::strerror(errno)));
-    }
-    if (n == 0)
-      eof = true;
-    else
-      framer.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
-    const std::vector<std::string> lines =
-        framer.take_lines(std::numeric_limits<std::size_t>::max());
-    if (lines.empty()) continue;
-    std::string out;
-    for (const std::string& response : service.handle_pipeline(lines)) {
-      out += response;
-      out += '\n';
-    }
-    // A failed response write is data loss, not a shrug: exit nonzero with
-    // the errno so callers piping responses to a file notice.
-    if (!write_all(STDOUT_FILENO, out))
-      die("writing responses to stdout failed: " +
-          std::string(std::strerror(errno)));
-  }
-
+  const Status st =
+      serve::run_stdio(service, STDIN_FILENO, STDOUT_FILENO, g_signal_pipe[0]);
+  // A failed response write is data loss, not a shrug: exit nonzero with
+  // the errno so callers piping responses to a file notice.
+  if (!st.ok()) die("stdio: " + st.to_string());
   const int sig = g_signal.load();
   if (sig != 0) {
     service.begin_drain();
-    // Buffered complete lines arrived before the signal; they are owed a
-    // response each (the service sheds them with retryable UNAVAILABLE).
-    const std::vector<std::string> lines =
-        framer.take_lines(std::numeric_limits<std::size_t>::max());
-    std::string out;
-    if (!lines.empty())
-      for (const std::string& response : service.handle_pipeline(lines)) {
-        out += response;
-        out += '\n';
-      }
     serve::Json bye = serve::Json::object();
     bye.set("op", "shutdown");
     bye.set("ok", true);
     bye.set("signal", sig);
     bye.set("draining", true);
     bye.set("drained", service.drained());
-    out += bye.dump();
-    out += '\n';
-    if (!write_all(STDOUT_FILENO, out))
-      die("writing drain responses to stdout failed: " +
+    if (std::printf("%s\n", bye.dump().c_str()) < 0 || std::fflush(stdout) != 0)
+      die("writing the shutdown line to stdout failed: " +
           std::string(std::strerror(errno)));
     log_drain_stats(service, sig);
   }
@@ -261,16 +195,14 @@ int run_stdio_server(serve::PredictionService& service) {
 // --- socket mode -------------------------------------------------------------
 // Accept/drain/dispatch live in the library now (serve/server.hpp); the
 // daemon contributes only the signal-to-drain bridge: a watcher thread parks
-// on the self-pipe and calls begin_drain() when a signal lands, so both
-// backends share one drain entry point.
+// on the self-pipe and calls begin_drain() when a signal lands.
 int run_socket_server(serve::PredictionService& service,
                       const serve::ServerOptions& server_options) {
   serve::SocketServer server(service, server_options);
   const Status st = server.listen();
   if (!st.ok()) die(st.to_string());
-  std::fprintf(stderr, "gpuhms_serve: listening on %s (%s backend)\n",
-               server_options.socket_path.c_str(),
-               std::string(serve::to_string(server_options.backend)).c_str());
+  std::fprintf(stderr, "gpuhms_serve: listening on %s\n",
+               server_options.socket_path.c_str());
 
   int done_pipe[2] = {-1, -1};
   if (::pipe(done_pipe) != 0)
@@ -313,7 +245,7 @@ int run_socket_server(serve::PredictionService& service,
                  static_cast<unsigned long long>(
                      server.stats().connections_open));
     std::fflush(stderr);
-    // Worker/handler threads may still be running; a normal exit would run
+    // Worker threads may still be running; a normal exit would run
     // static destructors under them. _Exit skips that — the kernel closes
     // the fds.
     std::_Exit(3);
@@ -339,8 +271,6 @@ int main(int argc, char** argv) {
       options.train_overlap = true;
     } else if (std::strcmp(arg, "--legacy-cache") == 0) {
       options.cache_backend = CacheBackend::kLegacyLru;
-    } else if (std::strcmp(arg, "--legacy-threaded") == 0) {
-      server_options.backend = serve::ServerBackend::kThreadPerConnection;
     } else if (const char* v = flag_value(arg, "--socket", argc, argv, &i)) {
       socket_path = v;
     } else if (const char* v = flag_value(arg, "--arch", argc, argv, &i)) {

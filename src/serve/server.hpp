@@ -1,24 +1,26 @@
-// Unix-domain-socket front end for PredictionService (DESIGN §15).
+// Transports for PredictionService (DESIGN §15). Both answer the same
+// newline-delimited JSON protocol by feeding complete request lines through
+// the one shared PredictionService::handle_pipeline, at most
+// ServeOptions::max_batch lines per batch.
 //
-// Two interchangeable backends answer the same newline-delimited JSON
-// protocol with byte-identical responses (both feed complete request lines
-// through the one shared PredictionService::handle_pipeline):
+//   * SocketServer: a Unix-domain socket served by one epoll reactor thread
+//     (event_loop.hpp) that holds every connection as a non-blocking Session
+//     (session.hpp); request batches execute on a small worker Executor and
+//     complete back onto the loop. Idle connections cost one fd + one
+//     Session, not a thread, so a single instance holds thousands of
+//     mostly-idle clients.
+//   * run_stdio: one blocking poll loop over a request fd and a response fd
+//     (the daemon's stdin/stdout). It stays off epoll because epoll_ctl
+//     rejects regular files and /dev/null with EPERM, and `gpuhms_serve <
+//     requests.jsonl` must work.
 //
-//   * kEventLoop (default): one epoll reactor thread (event_loop.hpp) holds
-//     every connection as a non-blocking Session (session.hpp); request
-//     batches execute on a small worker Executor and complete back onto the
-//     loop. Idle connections cost one fd + one Session, not a thread, so a
-//     single instance holds thousands of mostly-idle clients.
-//   * kThreadPerConnection (--legacy-threaded): the PR 5 blocking loop —
-//     one handler thread per accepted connection — kept for differential
-//     testing and as the reference semantics for drains and shutdown.
-//
-// Lifecycle: listen() binds the socket synchronously (clients may connect
-// the moment it returns), run() blocks serving until a drain completes or a
-// shutdown request is answered, begin_drain() (any thread; the daemon's
-// signal path) starts the graceful drain of DESIGN §13. run() returns 0 on
-// a clean exit and 3 when the drain timeout forced it — in which case
-// worker/handler threads may still be running and the caller should _Exit.
+// SocketServer lifecycle: listen() binds the socket synchronously (clients
+// may connect the moment it returns), run() blocks serving until a drain
+// completes or a shutdown request is answered, begin_drain() (any thread;
+// the daemon's signal path) starts the graceful drain of DESIGN §13. run()
+// returns 0 on a clean exit and 3 when the drain timeout forced it — in
+// which case worker threads may still be running and the caller should
+// _Exit.
 #pragma once
 
 #include <atomic>
@@ -66,25 +68,14 @@ class Executor {
   std::vector<std::thread> workers_;
 };
 
-enum class ServerBackend {
-  kEventLoop,            // epoll reactor (default)
-  kThreadPerConnection,  // legacy blocking loop (--legacy-threaded)
-};
-
-std::string_view to_string(ServerBackend backend);
-
 struct ServerOptions {
   std::string socket_path;
-  ServerBackend backend = ServerBackend::kEventLoop;
-  // Worker threads executing handle_pipeline batches for the event-loop
-  // backend; 0 picks a small default (hardware_concurrency clamped to
-  // [1, 4] — the service serializes shared-pool work internally anyway).
+  // Worker threads executing handle_pipeline batches off the loop; 0 picks
+  // a small default (hardware_concurrency clamped to [1, 4] — the service
+  // serializes shared-pool work internally anyway).
   int executor_threads = 0;
   // Session write-buffer bound before dispatch stalls on a slow reader.
   std::size_t max_write_buffer_bytes = 256 * 1024;
-  // Complete lines per dispatched batch; 0 mirrors the service's max_batch.
-  std::size_t max_batch_lines = 0;
-  int listen_backlog = 128;
   // Bound on the graceful drain; exceeded -> run() returns 3.
   std::size_t drain_timeout_ms = 5000;
 };
@@ -100,6 +91,9 @@ struct ServerStats {
 
 class SocketServer {
  public:
+  // The kernel silently caps it at net.core.somaxconn.
+  static constexpr int kListenBacklog = 4096;
+
   SocketServer(PredictionService& service, ServerOptions options);
   ~SocketServer();
 
@@ -107,7 +101,8 @@ class SocketServer {
   SocketServer& operator=(const SocketServer&) = delete;
 
   // Binds and listens on options.socket_path (unlinking any stale socket
-  // first). Synchronous: a client may connect as soon as this returns.
+  // first) with a backlog of kListenBacklog. Synchronous: a client may
+  // connect as soon as this returns.
   Status listen();
 
   // Serves until a shutdown request is answered or a drain completes.
@@ -128,8 +123,7 @@ class SocketServer {
   const ServerOptions& options() const { return options_; }
 
  private:
-  // --- event-loop backend (loop thread unless noted) -------------------------
-  int run_event_loop();
+  // Loop thread unless noted.
   void on_acceptable();
   void accept_one(int fd);
   void on_session_closed(Session* session);
@@ -138,30 +132,16 @@ class SocketServer {
   void initiate_shutdown(bool graceful);
   void close_listener();
 
-  // --- legacy thread-per-connection backend ----------------------------------
-  int run_thread_per_connection();
-  void legacy_serve_connection(int fd);
-
   PredictionService& service_;
   const ServerOptions options_;
 
   int listener_ = -1;
   std::atomic<bool> drain_requested_{false};
-  std::atomic<bool> hard_stop_{false};
 
-  // Event-loop backend state.
   EventLoop loop_;
   std::unordered_map<Session*, std::shared_ptr<Session>> sessions_;
   bool closing_ = false;    // loop thread: listener closed, draining sessions
   bool timed_out_ = false;  // loop thread: drain deadline fired
-  std::size_t session_batch_lines_ = 0;
-
-  // Legacy backend state: self-wake eventfd so begin_drain()/stop() unblock
-  // the accept poll, and the open-connection registry for SHUT_RD drains.
-  int legacy_wake_fd_ = -1;
-  std::mutex legacy_mu_;
-  std::vector<int> legacy_fds_;
-  std::vector<std::thread> legacy_handlers_;
 
   std::atomic<std::uint64_t> accepted_{0}, open_{0}, stalls_{0},
       high_water_{0};
@@ -171,6 +151,18 @@ class SocketServer {
   // refs) finish before the loop and session map go away.
   std::unique_ptr<Executor> executor_;
 };
+
+// Serves requests read from in_fd, writing one response line per request
+// line to out_fd, in order. The complete lines of each read are answered in
+// batches of at most service.options().max_batch; a partial trailing line
+// was never a complete request and is dropped at EOF. Returns OK after EOF,
+// after an answered shutdown request (the lines read behind it are answered
+// with a refusal), or once wake_fd (-1: none) turns readable, which stops
+// further reads with every complete line read so far answered. Returns an
+// error when reading a request or writing a response fails; a closed pipe on
+// out_fd raises SIGPIPE unless the caller ignores it (the daemon does).
+Status run_stdio(PredictionService& service, int in_fd, int out_fd,
+                 int wake_fd);
 
 // Blocking client-side connect to a Unix socket (tests, benchmarks).
 // The returned fd is owned by the caller.

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <istream>
-#include <ostream>
 #include <unordered_map>
 
 #include "arch/arch_registry.hpp"
@@ -1030,28 +1028,6 @@ ServeStats PredictionService::stats() const {
   s.idem_cache = cache_stats(idem_cache_);
   s.cache_backend = to_string(options_.cache_backend);
   return s;
-}
-
-void run_stdio_loop(std::istream& in, std::ostream& out,
-                    PredictionService& service) {
-  std::vector<std::string> lines;
-  std::string line;
-  while (!service.stopped() && std::getline(in, line)) {
-    lines.clear();
-    lines.push_back(std::move(line));
-    // Greedy pipelining: drain whatever the client already wrote so runs of
-    // same-kernel predicts coalesce. in_avail() only reports bytes already
-    // buffered, so an interactive client still gets per-line responses.
-    while (lines.size() < service.options().max_batch &&
-           in.rdbuf()->in_avail() > 0 && std::getline(in, line))
-      lines.push_back(std::move(line));
-    for (const std::string& response : service.handle_pipeline(lines))
-      out << response << '\n';
-    out.flush();
-    // A broken output stream means responses are being lost — stop reading
-    // rather than silently executing requests nobody can hear answered.
-    if (!out) break;
-  }
 }
 
 }  // namespace gpuhms::serve

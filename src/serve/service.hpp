@@ -36,7 +36,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -247,13 +246,5 @@ class PredictionService {
   bool watchdog_stop_ = false;
   std::thread watchdog_;
 };
-
-// Drives a PredictionService over std::istream/std::ostream: reads
-// newline-delimited requests, writes one response line per request in order,
-// flushing per pipelined chunk. Greedily drains already-buffered input (up
-// to ServeOptions::max_batch lines) into handle_pipeline so piped clients
-// get coalesced batching for free. Returns after EOF or a shutdown request.
-void run_stdio_loop(std::istream& in, std::ostream& out,
-                    PredictionService& service);
 
 }  // namespace gpuhms::serve

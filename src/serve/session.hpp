@@ -55,15 +55,15 @@ class LineFramer {
   std::string buf_;
 };
 
+// read() chunk size of both transports (Session and run_stdio).
+inline constexpr std::size_t kReadChunkBytes = 16 * 1024;
+
 struct SessionOptions {
-  // Max complete lines dispatched per handle_pipeline batch (the daemon
-  // mirrors ServeOptions::max_batch so coalescing opportunities match the
-  // legacy backend).
+  // Max complete lines dispatched per handle_pipeline batch (the server
+  // passes ServeOptions::max_batch, the same cap run_stdio uses).
   std::size_t max_batch_lines = 1024;
   // Dispatch stalls while more response bytes than this await a slow reader.
   std::size_t max_write_buffer_bytes = 256 * 1024;
-  // read() chunk size per EPOLLIN drain iteration.
-  std::size_t read_chunk_bytes = 16 * 1024;
 };
 
 // Created by the server's accept handler; lifetime is shared between the
@@ -95,7 +95,7 @@ class Session : public std::enable_shared_from_this<Session> {
   // Drain hand-off (loop thread): shut down the read side so the peer's
   // pending bytes frame out as usual, the in-flight batch (if any) finishes
   // and flushes, and the session closes once the write buffer empties —
-  // zero responses lost. Mirrors the legacy backend's shutdown(SHUT_RD).
+  // zero responses lost.
   void begin_drain();
 
   // Hard close (loop thread): unregister and close the fd immediately,

@@ -1,12 +1,15 @@
 // The frozen serve transcript (tests/golden/serve_transcript.jsonl).
 //
-// One scripted conversation -- a predict, a bad placement, an exhaustive
-// search, an idempotent predict, a shutdown and an idempotent retry behind
-// the shutdown -- and the response lines every transport must answer it
-// with, byte for byte. The file was first written by the thread-per-
-// connection socket backend, after the writer checked the epoll backend gave
-// identical bytes. Regenerate it only for an intentional protocol or model
-// change (the triad numbers move with the model):
+// One scripted conversation (tests/golden/serve_transcript_requests.jsonl:
+// a predict, a bad placement, an exhaustive search, an idempotent predict, a
+// shutdown and an idempotent retry behind the shutdown) and the response
+// lines every transport must answer it with, byte for byte: the socket event
+// loop, serve::run_stdio and the gpuhms_serve daemon's stdio mode
+// (tests/test_serve_daemon.py). The response file was first written by the
+// thread-per-connection socket backend (since deleted), after the writer
+// checked the epoll backend gave identical bytes. Regenerate it only for an
+// intentional protocol or model change (the triad numbers move with the
+// model); the writer checks that the socket and stdio transports agree:
 //
 //   build/tests/test_serve --write-golden tests/golden/serve_transcript.jsonl
 #pragma once
@@ -14,6 +17,7 @@
 #include <cerrno>
 #include <chrono>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -29,25 +33,21 @@
 
 namespace gpuhms::testutil {
 
-// The request bytes, one request per line. No time-dependent verbs.
-inline const std::string& transcript_script() {
-  static const std::string script =
-      "{\"id\":1,\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
-      "\"G,G,G\"}\n"
-      "{\"id\":2,\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
-      "\"bogus\"}\n"
-      "{\"id\":3,\"op\":\"search\",\"benchmark\":\"triad\",\"algo\":"
-      "\"exhaustive\",\"cap\":16}\n"
-      "{\"id\":4,\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
-      "\"G,G,G\",\"idem\":\"differential-idem\"}\n"
-      "{\"id\":5,\"op\":\"shutdown\"}\n"
-      "{\"id\":6,\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
-      "\"G,G,G\",\"idem\":\"differential-idem\"}\n";
-  return script;
+inline std::string golden_file_path(const char* name) {
+  return std::string(GPUHMS_GOLDEN_DIR) + "/" + name;
 }
 
 inline std::string transcript_golden_path() {
-  return std::string(GPUHMS_GOLDEN_DIR) + "/serve_transcript.jsonl";
+  return golden_file_path("serve_transcript.jsonl");
+}
+
+// The request bytes, one request per line (empty when the file is missing).
+inline const std::string& transcript_script() {
+  static const std::string script = [] {
+    std::ifstream in(golden_file_path("serve_transcript_requests.jsonl"));
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }();
+  return script;
 }
 
 // The golden response lines (empty when the file is missing).
@@ -117,6 +117,42 @@ inline std::vector<std::string> transcript_over_socket(
   thread.join();
   if (rc != 0) lines.clear();
   return lines;
+}
+
+// `requests` answered by run_stdio over two pipes. The requests are written
+// and the pipe closed before serving starts, so they must fit the pipe
+// buffer (64 KiB on Linux). Empty when run_stdio returns an error.
+inline std::vector<std::string> run_stdio_over_pipes(
+    serve::PredictionService& service, std::string_view requests) {
+  int in[2], out[2];
+  if (::pipe(in) != 0) return {};
+  if (::pipe(out) != 0) {
+    ::close(in[0]);
+    ::close(in[1]);
+    return {};
+  }
+  const bool sent =
+      ::write(in[1], requests.data(), requests.size()) ==
+      static_cast<ssize_t>(requests.size());
+  ::close(in[1]);
+  Status st = OkStatus();
+  std::thread server([&] {
+    st = serve::run_stdio(service, in[0], out[1], /*wake_fd=*/-1);
+    ::close(out[1]);
+  });
+  std::vector<std::string> lines =
+      read_lines_until_eof(out[0], std::chrono::seconds(60));
+  server.join();
+  ::close(in[0]);
+  ::close(out[0]);
+  if (!sent || !st.ok()) lines.clear();
+  return lines;
+}
+
+// The script answered by a fresh service through run_stdio.
+inline std::vector<std::string> transcript_over_stdio() {
+  serve::PredictionService service{serve::ServeOptions{}};
+  return run_stdio_over_pipes(service, transcript_script());
 }
 
 }  // namespace gpuhms::testutil

@@ -1,8 +1,7 @@
 // Event-loop server core tests (DESIGN §15): incremental framing, timerfd
 // deadlines, fd-budget scaling with 1k idle connections, the slow-reader
 // backpressure bound, drain-under-load with zero lost or misrouted
-// responses, and byte-identity between the epoll backend and the legacy
-// thread-per-connection backend.
+// responses, and byte-identity with the frozen serve transcript.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -226,7 +225,6 @@ TEST(EventLoopServer, HoldsAThousandIdleConnectionsUnderTheFdBudget) {
 
   serve::ServerOptions server_options;
   server_options.socket_path = test_socket_path("idle");
-  server_options.listen_backlog = 1024;
   ServerHarness harness{serve::ServeOptions{}, server_options};
 
   std::vector<int> fds;
@@ -270,12 +268,13 @@ TEST(EventLoopServer, SlowReaderStallsDispatchWithinTheWriteBufferBound) {
   // buffer actually backs up against the bound.
   constexpr int kRequests = 1000;
 
+  serve::ServeOptions serve_options;
+  serve_options.max_batch = kBatchLines;  // lines per session batch
   serve::ServerOptions server_options;
   server_options.socket_path = test_socket_path("slow");
   server_options.max_write_buffer_bytes = kWriteBound;
-  server_options.max_batch_lines = kBatchLines;
   server_options.executor_threads = 1;
-  ServerHarness harness{serve::ServeOptions{}, server_options};
+  ServerHarness harness{serve_options, server_options};
 
   const int fd = connect_or_die(server_options.socket_path);
   ASSERT_GE(fd, 0);
@@ -349,7 +348,8 @@ TEST(EventLoopServer, DrainUnderLoadLosesAndMisroutesNothing) {
   harness.server.begin_drain();
 
   for (int c = 0; c < kConnections; ++c) {
-    const std::vector<std::string> lines = testutil::read_lines_until_eof(fds[c], 60s);
+    const std::vector<std::string> lines =
+        testutil::read_lines_until_eof(fds[c], 60s);
     ASSERT_EQ(lines.size(), static_cast<std::size_t>(kPerConnection))
         << "connection " << c << " lost responses in the drain";
     for (int i = 0; i < kPerConnection; ++i) {
@@ -378,16 +378,9 @@ TEST(EventLoopServer, DrainUnderLoadLosesAndMisroutesNothing) {
 TEST(EventLoopServer, ReproducesTheFrozenTranscript) {
   const std::vector<std::string> golden = testutil::load_transcript_golden();
   ASSERT_EQ(golden.size(), 6u) << testutil::transcript_golden_path();
-  for (const serve::ServerBackend backend :
-       {serve::ServerBackend::kEventLoop,
-        serve::ServerBackend::kThreadPerConnection}) {
-    serve::ServerOptions server_options;
-    server_options.socket_path = test_socket_path(
-        std::string(serve::to_string(backend)).c_str());
-    server_options.backend = backend;
-    EXPECT_EQ(testutil::transcript_over_socket(server_options), golden)
-        << serve::to_string(backend);
-  }
+  serve::ServerOptions server_options;
+  server_options.socket_path = test_socket_path("transcript");
+  EXPECT_EQ(testutil::transcript_over_socket(server_options), golden);
   // The trailing idem retry behind the shutdown sheds FAILED_PRECONDITION;
   // it never replays.
   StatusOr<serve::Json> last = serve::Json::parse(golden.back());

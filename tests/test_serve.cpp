@@ -5,12 +5,12 @@
 #include <cstdio>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "arch/arch_registry.hpp"
@@ -257,30 +257,85 @@ TEST(Serve, ShutdownTrailingLinesShedIdenticallyOnBothCacheBackends) {
   EXPECT_EQ(sharded, legacy);  // byte-identical shed on both cache backends
 }
 
-TEST(Serve, StdioLoopAnswersEveryLineInOrderAndStopsOnShutdown) {
+TEST(Serve, StdioAnswersEveryLineInOrderAndStopsOnShutdown) {
   serve::PredictionService service{serve::ServeOptions{}};
-  std::istringstream in(predict_line(1, "triad", "G,G,G") + "\n" +
-                        predict_line(2, "triad", "G,G,G") + "\n" +
-                        R"({"id":3,"op":"shutdown"})" + "\n" +
-                        R"({"id":4,"op":"metrics"})" + "\n");
-  std::ostringstream out;
-  serve::run_stdio_loop(in, out, service);
+  const std::vector<std::string> lines = testutil::run_stdio_over_pipes(
+      service, predict_line(1, "triad", "G,G,G") + "\n" +
+                   predict_line(2, "triad", "G,G,G") + "\n" +
+                   R"({"id":3,"op":"shutdown"})" + "\n" +
+                   R"({"id":4,"op":"metrics"})" + "\n");
   EXPECT_TRUE(service.stopped());
-
-  std::vector<std::string> lines;
-  std::istringstream split(out.str());
-  for (std::string l; std::getline(split, l);) lines.push_back(l);
-  // All four lines were already buffered, so they rode one pipeline; the
+  // All four lines arrived in one read, so they rode one pipeline; the
   // line behind the shutdown is answered — with a refusal.
-  ASSERT_EQ(lines.size(), 4u) << out.str();
+  ASSERT_EQ(lines.size(), 4u);
   EXPECT_EQ(parse_ok(lines[0]).find("id")->as_number(), 1.0);
   EXPECT_EQ(parse_ok(lines[1]).find("id")->as_number(), 2.0);
   EXPECT_TRUE(parse_ok(lines[2]).find("stopped")->as_bool());
   expect_error(lines[3], "FAILED_PRECONDITION");
-  // The stringstream had everything buffered: the loop coalesced the two
-  // identical predicts, so the cache saw one miss and one alias, not two
-  // misses.
+  // One pipeline coalesced the two identical predicts: the cache saw one
+  // miss and one alias, not two misses.
   EXPECT_EQ(service.stats().batched_predicts, 1u);
+}
+
+TEST(Serve, StdioReproducesTheFrozenTranscript) {
+  const std::vector<std::string> golden = testutil::load_transcript_golden();
+  ASSERT_EQ(golden.size(), 6u) << testutil::transcript_golden_path();
+  EXPECT_EQ(testutil::transcript_over_stdio(), golden);
+}
+
+TEST(Serve, StdioBatchesAtMostMaxBatchLinesPerPipeline) {
+  const std::vector<std::string> placements =
+      legal_placement_strings("triad", 4);
+  ASSERT_EQ(placements.size(), 4u);
+  std::string requests;
+  for (int i = 0; i < 4; ++i)
+    requests += predict_line(i, "triad", placements[i]) + "\n";
+  serve::ServeOptions options;
+  options.max_batch = 2;
+  serve::PredictionService service{options};
+  ASSERT_EQ(testutil::run_stdio_over_pipes(service, requests).size(), 4u);
+  // Four distinct misses in one read, answered as two pipelines of two.
+  EXPECT_EQ(service.stats().batch_calls, 2u);
+  EXPECT_EQ(service.stats().batched_predicts, 4u);
+}
+
+TEST(Serve, StdioStopsReadingWhenWoken) {
+  serve::PredictionService service{serve::ServeOptions{}};
+  int in[2], out[2], wake[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  ASSERT_EQ(::pipe(wake), 0);
+  ASSERT_EQ(::write(wake[1], "x", 1), 1);
+  // stdin stays open and silent: only the wake fd can end the loop.
+  const Status st = serve::run_stdio(service, in[0], out[1], wake[0]);
+  EXPECT_TRUE(st.ok()) << st.to_string();
+  EXPECT_EQ(service.stats().requests, 0u);
+  for (const int fd : {in[0], in[1], out[0], out[1], wake[0], wake[1]})
+    ::close(fd);
+}
+
+TEST(Serve, StdioReportsFailedReadsAndWrites) {
+  serve::PredictionService service{serve::ServeOptions{}};
+  int in[2], out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  // Reading a directory fails with EISDIR.
+  const int dir = ::open(".", O_RDONLY | O_DIRECTORY);
+  ASSERT_GE(dir, 0);
+  Status st = serve::run_stdio(service, dir, out[1], -1);
+  ::close(dir);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("reading requests"), std::string::npos)
+      << st.to_string();
+  // Writing to the pipe's read end fails with EBADF.
+  const std::string request = R"({"id":1,"op":"health"})" "\n";
+  ASSERT_EQ(::write(in[1], request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  st = serve::run_stdio(service, in[0], out[0], -1);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("writing responses"), std::string::npos)
+      << st.to_string();
+  for (const int fd : {in[0], in[1], out[0], out[1]}) ::close(fd);
 }
 
 // --- the PR acceptance criterion ---------------------------------------------
@@ -726,23 +781,17 @@ TEST(ServeClient, EndToEndReplayThroughARealService) {
   EXPECT_EQ(stats.idem_hits, 1u);  // ...but the second was a byte replay
 }
 
-// Writes tests/golden/serve_transcript.jsonl (see serve_transcript.hpp)
-// from the thread-per-connection backend, after checking that the epoll
-// backend answers the script with the same bytes.
+// Writes tests/golden/serve_transcript.jsonl (see serve_transcript.hpp),
+// after checking that the socket and stdio transports answer the script with
+// the same bytes.
 int write_golden(const char* path) {
-  std::vector<std::vector<std::string>> answers;
-  for (const serve::ServerBackend backend :
-       {serve::ServerBackend::kThreadPerConnection,
-        serve::ServerBackend::kEventLoop}) {
-    serve::ServerOptions server_options;
-    server_options.socket_path =
-        "/tmp/gpuhms_transcript_" + std::to_string(::getpid()) + "_" +
-        std::string(serve::to_string(backend)) + ".sock";
-    server_options.backend = backend;
-    answers.push_back(testutil::transcript_over_socket(server_options));
-  }
-  if (answers[0].size() != 6 || answers[0] != answers[1]) {
-    std::fprintf(stderr, "the socket backends disagree on the transcript\n");
+  serve::ServerOptions server_options;
+  server_options.socket_path =
+      "/tmp/gpuhms_transcript_" + std::to_string(::getpid()) + ".sock";
+  const std::vector<std::string> lines =
+      testutil::transcript_over_socket(server_options);
+  if (lines.size() != 6 || lines != testutil::transcript_over_stdio()) {
+    std::fprintf(stderr, "the serve transports disagree on the transcript\n");
     return 1;
   }
   std::FILE* f = std::fopen(path, "w");
@@ -750,14 +799,13 @@ int write_golden(const char* path) {
     std::fprintf(stderr, "cannot open '%s' for writing\n", path);
     return 1;
   }
-  for (const std::string& line : answers[0])
-    std::fprintf(f, "%s\n", line.c_str());
+  for (const std::string& line : lines) std::fprintf(f, "%s\n", line.c_str());
   if (std::fclose(f) != 0) {
     std::fprintf(stderr, "failed writing '%s'\n", path);
     return 1;
   }
   std::printf("wrote serve transcript golden file: %s (%zu lines)\n", path,
-              answers[0].size());
+              lines.size());
   return 0;
 }
 
