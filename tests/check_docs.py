@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency check (ctest -L docs).
 
-Five guarantees:
+Six guarantees:
   1. Every relative markdown link `[text](path)` in the repo's *.md files
      resolves to an existing file or directory (absolute URLs are
      skipped).
@@ -23,6 +23,11 @@ Five guarantees:
      `GPUHMS_*` name listed in docs/SERVING.md's env table or README.md's
      env bullet list is read via getenv in src/ or examples/, so a removed
      knob cannot linger in the docs.
+  6. docs/SERVING.md's "Command-line flags" table matches the daemon:
+     every `--flag` row is parsed in examples/gpuhms_serve.cpp (strcmp or
+     flag_value) and appears in its --help text, and every parsed flag has
+     a row, so a removed flag cannot linger in the table and a new one
+     cannot ship undocumented.
 
 Usage: check_docs.py [repo_root]   (default: parent of this script's dir)
 Exit 0 when clean, 1 with a per-problem report otherwise.
@@ -214,6 +219,51 @@ def check_env_vars(root):
     return problems
 
 
+# `strcmp(arg, "--socket")` / `flag_value(arg, "--arch", ...)`.
+PARSED_FLAG_RE = re.compile(r'(?:strcmp|flag_value)\(\s*arg,\s*"(--[a-z0-9-]+)"')
+FLAG_ROW_RE = re.compile(r"^\| `(--[a-z0-9-]+)", re.MULTILINE)
+
+
+def check_serve_flags(root):
+    """docs/SERVING.md's flag table, the daemon's parsed flags and its
+    --help text must name the same flags."""
+    serving_path = os.path.join(root, "docs", "SERVING.md")
+    daemon_path = os.path.join(root, "examples", "gpuhms_serve.cpp")
+    if not os.path.exists(serving_path) or not os.path.exists(daemon_path):
+        return ["docs/SERVING.md or examples/gpuhms_serve.cpp is missing"]
+    with open(serving_path, encoding="utf-8") as f:
+        serving = f.read()
+    section = re.search(r"^## Command-line flags\n(.*?)(?=^## )", serving,
+                        re.MULTILINE | re.DOTALL)
+    if section is None:
+        return ["docs/SERVING.md: no '## Command-line flags' section"]
+    rows = set(FLAG_ROW_RE.findall(section.group(1)))
+    with open(daemon_path, encoding="utf-8") as f:
+        daemon = f.read()
+    parsed = set(PARSED_FLAG_RE.findall(daemon))
+    help_body = re.search(r"void print_help\(\) \{\n(.*?)^\}", daemon,
+                          re.MULTILINE | re.DOTALL)
+    if not rows or not parsed or help_body is None:
+        return ["no flag rows, parsed flags or print_help() found "
+                "(regex rot?)"]
+    in_help = set(re.findall(r"(--[a-z0-9-]+)", help_body.group(1)))
+    problems = []
+    for flag in sorted(rows - parsed):
+        problems.append(
+            f"docs/SERVING.md: flag '{flag}' is in the Command-line flags "
+            f"table but examples/gpuhms_serve.cpp does not parse it — drop "
+            f"the stale row")
+    for flag in sorted(parsed - rows):
+        problems.append(
+            f"examples/gpuhms_serve.cpp parses '{flag}' but docs/SERVING.md's "
+            f"Command-line flags table has no row for it")
+    for flag in sorted((rows | parsed) - in_help):
+        problems.append(
+            f"examples/gpuhms_serve.cpp: flag '{flag}' is missing from the "
+            f"--help text")
+    return problems
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1] if len(sys.argv) > 1
@@ -226,6 +276,7 @@ def main():
     problems.extend(check_model_map(root))
     problems.extend(check_readme_labels(root))
     problems.extend(check_env_vars(root))
+    problems.extend(check_serve_flags(root))
 
     if problems:
         print(f"docs check FAILED ({len(problems)} problem(s)):")
@@ -234,7 +285,7 @@ def main():
         return 1
     print(f"docs check OK: {len(md_files)} markdown files, all relative "
           "links and anchors resolve, MODEL_MAP references exist, every "
-          "ctest label and GPUHMS_* env var is documented")
+          "ctest label, GPUHMS_* env var and daemon flag is documented")
     return 0
 
 
