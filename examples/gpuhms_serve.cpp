@@ -184,7 +184,8 @@ int run_stdio_server(serve::PredictionService& service) {
     bye.set("signal", sig);
     bye.set("draining", true);
     bye.set("drained", service.drained());
-    if (std::printf("%s\n", bye.dump().c_str()) < 0 || std::fflush(stdout) != 0)
+    if (std::printf("%s\n", bye.dump().c_str()) < 0 ||
+        std::fflush(stdout) != 0)
       die("writing the shutdown line to stdout failed: " +
           std::string(std::strerror(errno)));
     log_drain_stats(service, sig);

@@ -220,7 +220,8 @@ def check_env_vars(root):
 
 
 # `strcmp(arg, "--socket")` / `flag_value(arg, "--arch", ...)`.
-PARSED_FLAG_RE = re.compile(r'(?:strcmp|flag_value)\(\s*arg,\s*"(--[a-z0-9-]+)"')
+PARSED_FLAG_RE = re.compile(
+    r'(?:strcmp|flag_value)\(\s*arg,\s*"(--[a-z0-9-]+)"')
 FLAG_ROW_RE = re.compile(r"^\| `(--[a-z0-9-]+)", re.MULTILINE)
 
 
