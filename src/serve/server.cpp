@@ -48,6 +48,12 @@ std::string join_responses(const std::vector<std::string>& responses) {
   return out;
 }
 
+// Lines per handle_pipeline batch on either transport. At least one, so a
+// max_batch of 0 (which rejects every predict_batch) still answers requests.
+std::size_t dispatch_batch_lines(const PredictionService& service) {
+  return std::max<std::size_t>(1, service.options().max_batch);
+}
+
 int default_executor_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return static_cast<int>(std::clamp(hw, 1u, 4u));
@@ -179,7 +185,7 @@ void SocketServer::on_acceptable() {
 
 void SocketServer::accept_one(int fd) {
   SessionOptions session_options;
-  session_options.max_batch_lines = service_.options().max_batch;
+  session_options.max_batch_lines = dispatch_batch_lines(service_);
   session_options.max_write_buffer_bytes = options_.max_write_buffer_bytes;
   auto execute = [this](std::vector<std::string> lines,
                         std::function<void(std::vector<std::string>)> done) {
@@ -271,7 +277,7 @@ void SocketServer::close_listener() {
 
 Status run_stdio(PredictionService& service, int in_fd, int out_fd,
                  int wake_fd) {
-  const std::size_t max_batch = service.options().max_batch;
+  const std::size_t max_batch = dispatch_batch_lines(service);
   LineFramer framer;
   std::string chunk(kReadChunkBytes, '\0');
   bool eof = false;

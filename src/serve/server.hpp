@@ -154,13 +154,14 @@ class SocketServer {
 
 // Serves requests read from in_fd, writing one response line per request
 // line to out_fd, in order. The complete lines of each read are answered in
-// batches of at most service.options().max_batch; a partial trailing line
-// was never a complete request and is dropped at EOF. Returns OK after EOF,
-// after an answered shutdown request (the lines read behind it are answered
-// with a refusal), or once wake_fd (-1: none) turns readable, which stops
-// further reads with every complete line read so far answered. Returns an
-// error when reading a request or writing a response fails; a closed pipe on
-// out_fd raises SIGPIPE unless the caller ignores it (the daemon does).
+// batches of at most service.options().max_batch (at least one line); a
+// partial trailing line was never a complete request and is dropped at EOF.
+// Returns OK after EOF, after an answered shutdown request (the lines read
+// behind it are answered with a refusal), or once wake_fd (-1: none) turns
+// readable, which stops further reads with every complete line read so far
+// answered. Returns an error when reading a request or writing a response
+// fails; a closed pipe on out_fd raises SIGPIPE unless the caller ignores it
+// (the daemon does).
 Status run_stdio(PredictionService& service, int in_fd, int out_fd,
                  int wake_fd);
 

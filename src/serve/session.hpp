@@ -60,7 +60,7 @@ inline constexpr std::size_t kReadChunkBytes = 16 * 1024;
 
 struct SessionOptions {
   // Max complete lines dispatched per handle_pipeline batch (the server
-  // passes ServeOptions::max_batch, the same cap run_stdio uses).
+  // passes ServeOptions::max_batch, at least 1, the cap run_stdio uses too).
   std::size_t max_batch_lines = 1024;
   // Dispatch stalls while more response bytes than this await a slow reader.
   std::size_t max_write_buffer_bytes = 256 * 1024;

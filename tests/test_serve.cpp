@@ -299,6 +299,17 @@ TEST(Serve, StdioBatchesAtMostMaxBatchLinesPerPipeline) {
   EXPECT_EQ(service.stats().batched_predicts, 4u);
 }
 
+TEST(Serve, StdioAnswersEveryLineWhenMaxBatchIsZero) {
+  serve::ServeOptions options;
+  options.max_batch = 0;  // rejects every predict_batch, not every line
+  serve::PredictionService service{options};
+  const std::vector<std::string> lines = testutil::run_stdio_over_pipes(
+      service, R"({"id":1,"op":"health"})" "\n"
+               R"({"id":2,"op":"health"})" "\n");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(parse_ok(lines[1]).find("id")->as_number(), 2.0);
+}
+
 TEST(Serve, StdioStopsReadingWhenWoken) {
   serve::PredictionService service{serve::ServeOptions{}};
   int in[2], out[2], wake[2];
