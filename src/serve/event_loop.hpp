@@ -1,6 +1,6 @@
 // Single-threaded epoll reactor for the serve layer (DESIGN §15).
 //
-// The event-loop server backend (serve/server.hpp) holds thousands of idle
+// The socket server (serve/server.hpp) holds thousands of idle
 // connections on one thread: an epoll set wakes the loop only for fds with
 // actual work, an eventfd lets other threads (the worker executor, the
 // daemon's signal path) post closures onto the loop thread, and a single
