@@ -7,13 +7,17 @@
 // variances. The placements are the sample plus every test placement of the
 // training and evaluation suites. A second set of entries covers randomized
 // synthetic kernels on kepler (make_synthetic_kernel): their default
-// placement plus up to eight legal random placements per seed.
+// placement plus up to eight legal random placements per seed. A third
+// covers placements that stage two or three arrays into shared memory at
+// once (make_bnb_synth(6), matrixmul, spmv) on every registered backend.
 //
-// The checked-in file was written by the scalar per-op replay (the
+// The first two sets were written by the scalar per-op replay (the
 // analyzer's original engine, since replaced by the SoA engine) and matched
-// the SoA engine line for line when it was written; tests compare the SoA
-// engine against it. Regenerate it only for an intentional analyzer change,
-// from the repository root:
+// the SoA engine line for line when they were written; the third was written
+// by the SoA engine while it still re-lowered every staging preamble per
+// candidate, before the preamble was memoized in the skeleton. Tests compare
+// the current engine against all three. Regenerate the file only for an
+// intentional analyzer change, from the repository root:
 //   build/tests/test_trace_analysis --write-golden tests/golden/analyzer_events.json
 //
 // expect_counters_match is the live counterpart: the analyzer's
@@ -24,6 +28,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -250,13 +255,49 @@ struct GoldenCases {
                          &kepler, &k, skel, p});
       }
     }
+    // Placements staging two or three arrays into shared memory at once, on
+    // every registered backend (the seed workloads stage at most one array
+    // per test placement). Placements a backend cannot hold are skipped.
+    const KernelInfo& bnb = *synth_kernels.emplace_back(
+        std::make_unique<KernelInfo>(workloads::make_bnb_synth(6)));
+    const TraceSkeleton* bnb_skel =
+        skeletons.emplace_back(std::make_unique<TraceSkeleton>(bnb)).get();
+    struct Staged {
+      const KernelInfo* kernel;
+      const TraceSkeleton* skeleton;
+      std::vector<const char*> placements;
+    };
+    std::vector<Staged> staged_sets = {
+        {&bnb, bnb_skel, {"S,S,G,G,G,G", "S,T,S,C,S,2T"}}};
+    for (std::size_t b = 0; b < benches.size(); ++b) {
+      if (benches[b].name == "matrixmul")
+        staged_sets.push_back({&benches[b].kernel, skeletons[b].get(),
+                               {"S,S,G,S,S", "S,S,G,G,G"}});
+      if (benches[b].name == "spmv")
+        staged_sets.push_back({&benches[b].kernel, skeletons[b].get(),
+                               {"G,G,S,S,G", "T,T,S,S,S"}});
+    }
+    for (const std::string& name : ArchRegistry::builtin().names()) {
+      const GpuArch& arch = ArchRegistry::builtin().find(name)->arch;
+      for (const Staged& s : staged_sets) {
+        for (const char* code : s.placements) {
+          const std::optional<DataPlacement> p =
+              DataPlacement::from_string(*s.kernel, code);
+          if (!p || validate_placement(*s.kernel, *p, arch).has_value())
+            continue;
+          staged.push_back({name + "/" + s.kernel->name + "/staged_" + code,
+                            name, &arch, s.kernel, s.skeleton, *p});
+        }
+      }
+    }
   }
 
   std::vector<workloads::BenchmarkCase> benches;
   std::vector<std::unique_ptr<KernelInfo>> synth_kernels;
   std::vector<std::unique_ptr<TraceSkeleton>> skeletons;
-  std::vector<Case> cases;  // seed workloads x registered archs
-  std::vector<Case> synth;  // synthetic kernels on kepler
+  std::vector<Case> cases;   // seed workloads x registered archs
+  std::vector<Case> synth;   // synthetic kernels on kepler
+  std::vector<Case> staged;  // multi-array staging x registered archs
 };
 
 // id -> golden line, as written by golden_line (an empty map when the file

@@ -5,6 +5,8 @@
 // counters are also checked against the simulator.
 #include <cstdint>
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,7 +30,8 @@ TEST(SoaReplayEveryWorkload, MatchesGoldenBitForBit) {
   const auto golden = testutil::load_analyzer_golden(
       std::string(GPUHMS_GOLDEN_DIR) + "/analyzer_events.json");
   const testutil::GoldenCases cases;
-  ASSERT_EQ(golden.size(), cases.cases.size() + cases.synth.size());
+  ASSERT_EQ(golden.size(), cases.cases.size() + cases.synth.size() +
+                               cases.staged.size());
   for (const testutil::GoldenCases::Case& c : cases.cases) {
     const auto it = golden.find(c.id);
     ASSERT_NE(it, golden.end()) << c.id;
@@ -57,6 +60,28 @@ TEST(SoaReplay, RandomizedSyntheticTracesMatchGoldenAndSimulator) {
     testutil::expect_counters_match(
         ev, simulate(*c.kernel, c.placement, *c.arch).counters);
   }
+}
+
+// Placements staging two or three arrays at once, on every registered
+// backend, against their frozen outputs and the simulator's counters.
+TEST(SoaReplayEveryWorkload, MultiArrayStagingMatchesGoldenAndSimulator) {
+  const auto golden = testutil::load_analyzer_golden(
+      std::string(GPUHMS_GOLDEN_DIR) + "/analyzer_events.json");
+  const testutil::GoldenCases cases;
+  std::map<std::string, int> per_arch;
+  for (const testutil::GoldenCases::Case& c : cases.staged) {
+    SCOPED_TRACE(c.id);
+    ++per_arch[c.arch_name];
+    const auto it = golden.find(c.id);
+    ASSERT_NE(it, golden.end());
+    const PlacementEvents ev =
+        analyze_trace(*c.kernel, c.placement, *c.arch, {}, c.skeleton);
+    EXPECT_EQ(testutil::golden_line(c.id, ev), it->second);
+    testutil::expect_counters_match(
+        ev, simulate(*c.kernel, c.placement, *c.arch).counters);
+  }
+  for (const std::string& name : ArchRegistry::builtin().names())
+    EXPECT_GE(per_arch[name], 4) << name;
 }
 
 // Predictions must not depend on which skeleton instance or analyzer scratch

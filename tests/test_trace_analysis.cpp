@@ -138,7 +138,7 @@ int write_golden(const char* path) {
   std::fprintf(f, "{\n  \"source\": \"test_trace_analysis --write-golden\",\n"
                   "  \"entries\": [\n");
   std::vector<const testutil::GoldenCases::Case*> all;
-  for (const auto* list : {&golden.cases, &golden.synth})
+  for (const auto* list : {&golden.cases, &golden.synth, &golden.staged})
     for (const testutil::GoldenCases::Case& c : *list) all.push_back(&c);
   for (std::size_t i = 0; i < all.size(); ++i) {
     const testutil::GoldenCases::Case& c = *all[i];
