@@ -261,6 +261,94 @@ const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(
   return table.folds[a];
 }
 
+TraceSkeleton::StagingTable& TraceSkeleton::staging_table(
+    std::size_t line_size, int num_banks) const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  for (const std::unique_ptr<StagingTable>& t : staging_tables_) {
+    if (t->line_size == line_size && t->num_banks == num_banks) return *t;
+  }
+  const std::size_t num_arrays = kernel_->arrays.size();
+  auto t = std::make_unique<StagingTable>();
+  t->line_size = line_size;
+  t->num_banks = num_banks;
+  t->copies = std::make_unique<std::atomic<const StagingCopy*>[]>(num_arrays);
+  for (std::size_t a = 0; a < num_arrays; ++a) t->copies[a] = nullptr;
+  t->owned.resize(num_arrays);
+  t->build_mu = std::make_unique<std::mutex[]>(num_arrays);
+  staging_tables_.push_back(std::move(t));
+  return *staging_tables_.back();
+}
+
+const TraceSkeleton::StagingCopy& TraceSkeleton::staging_copy(
+    int array, const TraceMaterializer& mat, std::size_t line_size,
+    int num_banks) const {
+  GPUHMS_CHECK(&mat.kernel() == kernel_);
+  StagingTable& table = staging_table(line_size, num_banks);
+  const std::size_t a = static_cast<std::size_t>(array);
+  if (const StagingCopy* c = table.copies[a].load(std::memory_order_acquire))
+    return *c;
+  std::lock_guard<std::mutex> lock(table.build_mu[a]);
+  if (const StagingCopy* c = table.copies[a].load(std::memory_order_acquire))
+    return *c;
+  // Built into a local and published only once complete, so a build that
+  // throws leaves nothing behind.
+  auto copy = std::make_unique<StagingCopy>();
+  StagingCopy& c = *copy;
+  c.ops.resize(warps_.size());
+  c.load_begin.reserve(warps_.size() + 1);
+  c.load_begin.push_back(0);
+  c.line_begin.push_back(0);
+  std::vector<TraceOp> ops;
+  std::uint64_t buf[kWarpSize];
+  for (std::size_t w = 0; w < warps_.size(); ++w) {
+    if (GPUHMS_FAULT_POINT("trace.lower"))
+      throw InjectedFault("trace.lower: injected failure lowering warp trace");
+    ops.clear();
+    mat.staging_copy(array, warps_[w].ctx, ops);
+    // A copy opens with its global addressing inserts, which never depend,
+    // so the op after a copy's last store (the next copy or the preamble's
+    // closing Sync) never breaks its memory chain: copies fold separately.
+    GPUHMS_CHECK(ops.empty() || !ops.front().uses_prev);
+    c.ops[w] = static_cast<std::uint32_t>(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const TraceOp& op = ops[i];
+      if (op.uses_prev) ++c.dep_breaks;
+      if (!is_memory(op.cls)) {
+        if (op.is_addr_calc) ++c.addr_calc_insts;
+        continue;
+      }
+      const bool is_store = op.cls == OpClass::Store;
+      ++c.mem_insts;
+      if (!is_store) ++c.load_insts;
+      if (i + 1 < ops.size() && ops[i + 1].uses_prev) ++c.mem_chain_breaks;
+      if (op.active_mask == 0) continue;
+      if (op.space == MemSpace::Shared) {
+        ++c.shared_requests;
+        if (!is_store) ++c.shared_load_requests;
+        c.shared_conflicts += static_cast<std::uint64_t>(
+            shared_conflict_degree(op.active_mask, op.addr.data(), num_banks) -
+            1);
+        continue;
+      }
+      // The off-chip side of a copy is its global loads.
+      GPUHMS_CHECK(op.space == MemSpace::Global && !is_store);
+      const int cnt = coalesce_lines_buf(op.active_mask, op.addr.data(),
+                                         line_size, buf);
+      ++c.global_requests;
+      c.global_transactions += static_cast<std::uint64_t>(cnt);
+      c.replay_global_divergence += static_cast<std::uint64_t>(cnt - 1);
+      c.offchip_load_transactions += static_cast<std::uint64_t>(cnt);
+      c.load_pc.push_back(static_cast<std::uint32_t>(i));
+      c.lines.insert(c.lines.end(), buf, buf + cnt);
+      c.line_begin.push_back(static_cast<std::uint32_t>(c.lines.size()));
+    }
+    c.load_begin.push_back(static_cast<std::uint32_t>(c.load_pc.size()));
+  }
+  table.owned[a] = std::move(copy);
+  table.copies[a].store(table.owned[a].get(), std::memory_order_release);
+  return *table.owned[a];
+}
+
 std::span<const AddrBlock> TraceSkeleton::device_addr_pool(
     int array, bool block_linear, const MemoryLayout& layout) const {
   const std::size_t slot =
@@ -384,68 +472,68 @@ void TraceMaterializer::lower(const WarpCtx& ctx,
 void TraceMaterializer::staging_preamble(const WarpCtx& ctx,
                                          std::vector<TraceOp>& out) const {
   if (staged_arrays_.empty()) return;
-  const int wpb = kernel_->warps_per_block();
-  const std::int64_t lanes_per_block =
-      static_cast<std::int64_t>(wpb) * kWarpSize;
-  for (int array : staged_arrays_) {
-    const ArrayDecl& arr = kernel_->arrays[static_cast<std::size_t>(array)];
-    const std::int64_t slice = layout_.shared_slice_elems(array);
-    const std::int64_t start = layout_.shared_slice_start(array, ctx.block);
-    const std::int64_t iters =
-        (slice + lanes_per_block - 1) / lanes_per_block;
-    for (std::int64_t it = 0; it < iters; ++it) {
-      const std::int64_t base =
-          it * lanes_per_block + ctx.warp_in_block * kWarpSize;
-      // Global load of the chunk (coalesced) ...
-      TraceOp ld;
-      ld.cls = OpClass::Load;
-      ld.space = MemSpace::Global;
-      ld.array = static_cast<std::int16_t>(array);
-      ld.uses_prev = false;
-      TraceOp st;
-      st.cls = OpClass::Store;
-      st.space = MemSpace::Shared;
-      st.array = static_cast<std::int16_t>(array);
-      st.uses_prev = true;  // stores the just-loaded value
-      std::uint32_t mask = 0;
-      for (int l = 0; l < kWarpSize; ++l) {
-        const std::int64_t local = base + l;
-        if (local >= slice) {
-          ld.addr[static_cast<std::size_t>(l)] = -1;
-          st.addr[static_cast<std::size_t>(l)] = -1;
-          continue;
-        }
-        mask |= 1u << l;
-        const std::int64_t global_elem =
-            (start + local) % static_cast<std::int64_t>(arr.elems);
-        ld.addr[static_cast<std::size_t>(l)] = static_cast<std::int64_t>(
-            layout_.device_base(array) +
-            pitch_linear_offset(arr, global_elem));
-        st.addr[static_cast<std::size_t>(l)] = static_cast<std::int64_t>(
-            layout_.shared_offset(array) +
-            static_cast<std::uint64_t>(local) * arr.elem_size());
-      }
-      if (mask == 0) continue;
-      ld.active_mask = mask;
-      st.active_mask = mask;
-      // Global addressing for the load (register indirect, 2 IMADs).
-      for (int i = 0; i < addr_calc_instructions(MemSpace::Global, arr.dtype);
-           ++i) {
-        TraceOp a;
-        a.cls = OpClass::IAlu;
-        a.is_addr_calc = true;
-        a.active_mask = mask;
-        out.push_back(a);
-      }
-      ld.uses_prev = true;
-      out.push_back(ld);
-      out.push_back(st);
-    }
-  }
+  for (int array : staged_arrays_) staging_copy(array, ctx, out);
   TraceOp sync;
   sync.cls = OpClass::Sync;
   sync.active_mask = 0xffffffffu;
   out.push_back(sync);
+}
+
+void TraceMaterializer::staging_copy(int array, const WarpCtx& ctx,
+                                     std::vector<TraceOp>& out) const {
+  const std::int64_t lanes_per_block =
+      static_cast<std::int64_t>(kernel_->warps_per_block()) * kWarpSize;
+  const ArrayDecl& arr = kernel_->arrays[static_cast<std::size_t>(array)];
+  const std::int64_t slice = layout_.shared_slice_elems(array);
+  const std::int64_t start = layout_.shared_slice_start(array, ctx.block);
+  const std::int64_t iters = (slice + lanes_per_block - 1) / lanes_per_block;
+  for (std::int64_t it = 0; it < iters; ++it) {
+    const std::int64_t base =
+        it * lanes_per_block + ctx.warp_in_block * kWarpSize;
+    // Global load of the chunk (coalesced) ...
+    TraceOp ld;
+    ld.cls = OpClass::Load;
+    ld.space = MemSpace::Global;
+    ld.array = static_cast<std::int16_t>(array);
+    ld.uses_prev = false;
+    TraceOp st;
+    st.cls = OpClass::Store;
+    st.space = MemSpace::Shared;
+    st.array = static_cast<std::int16_t>(array);
+    st.uses_prev = true;  // stores the just-loaded value
+    std::uint32_t mask = 0;
+    for (int l = 0; l < kWarpSize; ++l) {
+      const std::int64_t local = base + l;
+      if (local >= slice) {
+        ld.addr[static_cast<std::size_t>(l)] = -1;
+        st.addr[static_cast<std::size_t>(l)] = -1;
+        continue;
+      }
+      mask |= 1u << l;
+      const std::int64_t global_elem =
+          (start + local) % static_cast<std::int64_t>(arr.elems);
+      ld.addr[static_cast<std::size_t>(l)] = static_cast<std::int64_t>(
+          layout_.device_base(array) + pitch_linear_offset(arr, global_elem));
+      st.addr[static_cast<std::size_t>(l)] = static_cast<std::int64_t>(
+          layout_.shared_offset(array) +
+          static_cast<std::uint64_t>(local) * arr.elem_size());
+    }
+    if (mask == 0) continue;
+    ld.active_mask = mask;
+    st.active_mask = mask;
+    // Global addressing for the load (register indirect, 2 IMADs).
+    for (int i = 0; i < addr_calc_instructions(MemSpace::Global, arr.dtype);
+         ++i) {
+      TraceOp a;
+      a.cls = OpClass::IAlu;
+      a.is_addr_calc = true;
+      a.active_mask = mask;
+      out.push_back(a);
+    }
+    ld.uses_prev = true;
+    out.push_back(ld);
+    out.push_back(st);
+  }
 }
 
 std::vector<WarpTrace> TraceMaterializer::generate(

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -27,6 +28,8 @@ struct WarpTrace {
 
 // 32 lane byte addresses of one warp-level memory op (inactive lanes: -1).
 using AddrBlock = std::array<std::int64_t, kWarpSize>;
+
+class TraceMaterializer;
 
 // Placement-independent recording of every warp's DSL stream. A placement
 // only changes the space-dependent decoration of a trace (addressing-mode
@@ -168,6 +171,40 @@ class TraceSkeleton {
   };
   const SharedFold& shared_fold(int array, int num_banks) const;
 
+  // The copy-in preamble of one shared-staged array (Sec. III-B's
+  // "initialization phase"), as TraceMaterializer::staging_copy emits it,
+  // digested for the SoA lowering. Its global-load addresses depend only on
+  // the array's fixed device allocation, its slice start and warp_in_block,
+  // none of which a placement changes; its shared-store base is a 128 B
+  // aligned word shift, which only permutes the banks (the SharedFold
+  // argument). So one digest, built from any placement that stages the
+  // array, serves them all. Memoized per (array, line_size, num_banks).
+  struct StagingCopy {
+    std::vector<std::uint32_t> ops;         // per warp: expanded op count
+    std::vector<std::uint32_t> load_begin;  // per warp, size warps+1
+    std::vector<std::uint32_t> load_pc;     // per global load: pc in the copy
+    std::vector<std::uint32_t> line_begin;  // per global load, size loads+1
+    std::vector<std::uint64_t> lines;       // concatenated coalesced lines
+    // Whole-kernel tallies of the copy, in SoaTallies' terms.
+    std::uint64_t dep_breaks = 0;
+    std::uint64_t mem_insts = 0;
+    std::uint64_t load_insts = 0;
+    std::uint64_t mem_chain_breaks = 0;
+    std::uint64_t addr_calc_insts = 0;
+    std::uint64_t shared_requests = 0;
+    std::uint64_t shared_load_requests = 0;
+    std::uint64_t shared_conflicts = 0;
+    std::uint64_t global_requests = 0;
+    std::uint64_t global_transactions = 0;
+    std::uint64_t replay_global_divergence = 0;
+    std::uint64_t offchip_load_transactions = 0;
+  };
+  // `mat` must stage `array`; only its layout's placement-invariant part
+  // (device base, slice geometry) and its bank-permuting shared base are
+  // read.
+  const StagingCopy& staging_copy(int array, const TraceMaterializer& mat,
+                                  std::size_t line_size, int num_banks) const;
+
   // --- skeleton statistics (for cheap per-placement bounds) -----------------
   // Executed warp instructions excluding addressing-mode inserts and staging
   // preambles (i.e. the placement-invariant part of insts_executed).
@@ -215,11 +252,25 @@ class TraceSkeleton {
     std::vector<SharedFold> folds;  // per array
     std::unique_ptr<std::once_flag[]> once;
   };
+  // Staging copies are published through an atomic pointer after a build
+  // under a per-array mutex, not under call_once: a build that throws (an
+  // injected trace.lower) leaves the slot empty and the next caller rebuilds
+  // it from scratch, which call_once does not guarantee on every runtime
+  // (ThreadSanitizer's hangs on the retry).
+  struct StagingTable {
+    std::size_t line_size = 0;
+    int num_banks = 0;
+    std::unique_ptr<std::atomic<const StagingCopy*>[]> copies;  // per array
+    std::vector<std::unique_ptr<const StagingCopy>> owned;      // per array
+    std::unique_ptr<std::mutex[]> build_mu;                     // per array
+  };
   LineTable& line_table(std::size_t line_size) const;
   FoldTable& fold_table(int num_banks) const;
+  StagingTable& staging_table(std::size_t line_size, int num_banks) const;
   mutable std::mutex memo_mu_;
   mutable std::vector<std::unique_ptr<LineTable>> line_tables_;
   mutable std::vector<std::unique_ptr<FoldTable>> fold_tables_;
+  mutable std::vector<std::unique_ptr<StagingTable>> staging_tables_;
   mutable std::vector<std::vector<std::uint8_t>> const_words_;  // per array
   mutable std::unique_ptr<std::once_flag[]> const_once_;
 };
@@ -239,9 +290,15 @@ class TraceMaterializer {
   void lower(const WarpCtx& ctx, const std::vector<DslOp>& ops,
              std::vector<TraceOp>& out) const;
 
-  // Copy-in preamble executed by warp `ctx.warp_in_block` of its block for
-  // every array moved into shared memory; ends with a Sync when nonempty.
+  // Copy-in preamble executed by warp `ctx.warp_in_block` of its block: the
+  // staging_copy of every array moved into shared memory, in array order,
+  // then a Sync when any array is staged.
   void staging_preamble(const WarpCtx& ctx, std::vector<TraceOp>& out) const;
+  // The warp's share of copying staged `array` into its shared slice:
+  // per chunk, the global addressing inserts, the global load and the shared
+  // store. Appends to `out`.
+  void staging_copy(int array, const WarpCtx& ctx,
+                    std::vector<TraceOp>& out) const;
 
   // Full trace (staging + lowered body) for every warp of the block range,
   // re-running the kernel function: the simulator's input and the ground

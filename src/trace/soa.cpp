@@ -5,7 +5,6 @@
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
 #include "isa/addressing.hpp"
-#include "sim/coalesce.hpp"
 
 namespace gpuhms {
 
@@ -64,6 +63,29 @@ void SoaLowering::bind(const TraceMaterializer& mat,
   tallies_.sync_insts = inv.sync_protos;
   tallies_.mem_insts = inv.mem_protos;
   tallies_.load_insts = inv.load_protos;
+
+  // Staging preambles: every order-free counter of a copy is a whole-kernel
+  // constant of the skeleton, and each warp closes its preamble with a Sync.
+  staging_.clear();
+  for (const int array : mat.staged_arrays()) {
+    const TraceSkeleton::StagingCopy& c =
+        skeleton.staging_copy(array, mat, arch.cache_line, arch.shared_banks);
+    staging_.push_back(&c);
+    tallies_.dep_breaks += c.dep_breaks;
+    tallies_.mem_insts += c.mem_insts;
+    tallies_.load_insts += c.load_insts;
+    tallies_.mem_chain_breaks += c.mem_chain_breaks;
+    tallies_.addr_calc_insts += c.addr_calc_insts;
+    tallies_.shared_requests += c.shared_requests;
+    tallies_.shared_load_requests += c.shared_load_requests;
+    tallies_.shared_conflicts += c.shared_conflicts;
+    tallies_.global_requests += c.global_requests;
+    tallies_.global_transactions += c.global_transactions;
+    tallies_.replay_global_divergence += c.replay_global_divergence;
+    tallies_.offchip_load_transactions += c.offchip_load_transactions;
+  }
+  if (!staging_.empty())
+    tallies_.sync_insts += static_cast<std::uint64_t>(k.total_warps());
 }
 
 SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
@@ -78,21 +100,11 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
   SoaWave wave;
   if (warp_count == 0) return wave;
 
-  // Capacity bound: every skeleton memory record plus one staged global load
-  // per (warp, staging iteration).
+  // Capacity bound: every skeleton memory record plus every staged global
+  // load of the wave's warps.
   std::size_t bound = skeleton_->mem_record_count(w0, w1);
-  const bool staged = !mat_->staged_arrays().empty();
-  if (staged) {
-    const std::int64_t lanes_per_block =
-        static_cast<std::int64_t>(wpb) * kWarpSize;
-    std::size_t pre_iters = 0;
-    for (int a : mat_->staged_arrays()) {
-      const std::int64_t slice = mat_->layout().shared_slice_elems(a);
-      pre_iters += static_cast<std::size_t>(
-          (slice + lanes_per_block - 1) / lanes_per_block);
-    }
-    bound += warp_count * pre_iters;
-  }
+  for (const TraceSkeleton::StagingCopy* c : staging_)
+    bound += c->load_begin[w1] - c->load_begin[w0];
 
   // Unscheduled (warp-major) record arrays.
   std::uint32_t* pc = arena_.alloc<std::uint32_t>(bound);
@@ -115,67 +127,26 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
     const WarpCtx& ctx = skeleton_->warp(gw).ctx;
     const std::uint16_t warp_sm =
         static_cast<std::uint16_t>(ctx.block % num_sms);
+    // Staging preamble: each staged array's memoized copy, in array order,
+    // then the closing Sync. Only its global loads reach the schedule, at
+    // pc = running preamble offset + their pc within the copy.
     std::uint32_t preamble_len = 0;
-    if (staged) {
-      // Rare, placement-dependent and cold: transcribe the TraceOp emitter
-      // instead of duplicating its logic, folding counters inline. A memory
-      // op here is never last (the preamble ends with a Sync), so the
-      // chain-break probe of the successor is always in range.
-      scratch_.clear();
-      mat_->staging_preamble(ctx, scratch_);
-      preamble_len = static_cast<std::uint32_t>(scratch_.size());
-      for (std::size_t i = 0; i < scratch_.size(); ++i) {
-        const TraceOp& op = scratch_[i];
-        if (op.uses_prev) ++tallies_.dep_breaks;
-        switch (op.cls) {
-          case OpClass::Load:
-          case OpClass::Store: {
-            ++tallies_.mem_insts;
-            const bool is_store = op.cls == OpClass::Store;
-            if (!is_store) ++tallies_.load_insts;
-            if (scratch_[i + 1].uses_prev) ++tallies_.mem_chain_breaks;
-            if (op.active_mask == 0) break;
-            if (op.space == MemSpace::Shared) {
-              ++tallies_.shared_requests;
-              if (!is_store) ++tallies_.shared_load_requests;
-              const int degree = shared_conflict_degree(
-                  op.active_mask, op.addr.data(), arch_->shared_banks);
-              tallies_.shared_conflicts +=
-                  static_cast<std::uint64_t>(degree - 1);
-            } else {
-              std::uint64_t buf[kWarpSize];
-              const int cnt = coalesce_lines_buf(
-                  op.active_mask, op.addr.data(), arch_->cache_line, buf);
-              std::uint64_t* stable =
-                  arena_.alloc<std::uint64_t>(static_cast<std::size_t>(cnt));
-              std::copy(buf, buf + cnt, stable);
-              ++tallies_.global_requests;
-              tallies_.global_transactions += static_cast<std::uint64_t>(cnt);
-              tallies_.replay_global_divergence +=
-                  static_cast<std::uint64_t>(cnt - 1);
-              if (!is_store)
-                tallies_.offchip_load_transactions +=
-                    static_cast<std::uint64_t>(cnt);
-              pc[n] = static_cast<std::uint32_t>(i);
-              spc[n] = static_cast<std::uint8_t>(MemSpace::Global);
-              str[n] = is_store;
-              sms[n] = warp_sm;
-              lin[n] = stable;
-              linn[n] = static_cast<std::uint16_t>(cnt);
-              wrd[n] = 0;
-              ++n;
-            }
-            break;
-          }
-          case OpClass::Sync:
-            ++tallies_.sync_insts;
-            break;
-          default:
-            if (op.is_addr_calc) ++tallies_.addr_calc_insts;
-            break;
-        }
+    for (const TraceSkeleton::StagingCopy* c : staging_) {
+      for (std::uint32_t j = c->load_begin[gw]; j < c->load_begin[gw + 1];
+           ++j) {
+        const std::uint32_t b = c->line_begin[j];
+        pc[n] = preamble_len + c->load_pc[j];
+        spc[n] = static_cast<std::uint8_t>(MemSpace::Global);
+        str[n] = 0;
+        sms[n] = warp_sm;
+        lin[n] = c->lines.data() + b;
+        linn[n] = static_cast<std::uint16_t>(c->line_begin[j + 1] - b);
+        wrd[n] = 0;
+        ++n;
       }
+      preamble_len += c->ops[gw];
     }
+    if (!staging_.empty()) ++preamble_len;
 
     // Expanded op count of the warp under this placement.
     std::uint32_t extra = 0;

@@ -13,6 +13,13 @@
 //   * shared-memory ops fold away entirely: their bank-conflict degrees are
 //     placement-invariant (TraceSkeleton::SharedFold), so a shared-placed
 //     array costs three counter adds per *candidate*, not per op;
+//   * the copy-in preamble of a shared-staged array is memoized too
+//     (TraceSkeleton::StagingCopy): its global-load addresses are fixed by
+//     the array's allocation, slice and warp_in_block, and its shared-store
+//     base only permutes banks. A candidate adds the copy's whole-kernel
+//     tallies in bind() and, per warp, appends the pooled global-load
+//     records at pc = running preamble offset + their pc within the copy —
+//     nothing of the preamble is re-emitted, coalesced or bank-folded;
 //   * the round-robin schedule's issue tick of every surviving record is
 //     computed in closed form from the per-warp op counts (an alive-warp
 //     prefix sum plus a Fenwick rank over finish rounds), then the records
@@ -104,7 +111,8 @@ class SoaLowering {
   std::vector<const std::uint32_t*> line_begin_;
   std::vector<const std::uint64_t*> line_data_;
   std::vector<const std::uint8_t*> words_;
-  std::vector<TraceOp> scratch_;  // staging-preamble transcription buffer
+  // Memoized copy-in preambles of the staged arrays, in array order.
+  std::vector<const TraceSkeleton::StagingCopy*> staging_;
 };
 
 }  // namespace gpuhms
