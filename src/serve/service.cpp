@@ -453,6 +453,17 @@ Json error_response(const Json* id, std::string_view op, const Status& st) {
   return r;
 }
 
+// The one error for an unparsable predict placement, whichever path (a
+// lone predict or a coalesced run of same-benchmark predicts) answers it.
+Status placement_parse_error(const std::string& placement,
+                             const std::string& benchmark,
+                             const KernelInfo& kernel) {
+  return InvalidArgumentError("cannot parse placement '" + placement +
+                              "' for benchmark '" + benchmark + "' (" +
+                              std::to_string(kernel.arrays.size()) +
+                              " arrays; codes G,S,C,T,2T)");
+}
+
 }  // namespace
 
 // Status -> error-response plumbing for the Json-returning handlers; the
@@ -479,10 +490,7 @@ Json PredictionService::handle_predict(const Json& request) {
   if (!placement)
     return error_response(
         nullptr, "",
-        InvalidArgumentError("cannot parse placement '" + placement_str +
-                             "' for benchmark '" + benchmark + "' (" +
-                             std::to_string(entry->bench.kernel.arrays.size()) +
-                             " arrays; codes G,S,C,T,2T)"));
+        placement_parse_error(placement_str, benchmark, entry->bench.kernel));
   if (Status st = validate(entry->bench.kernel, *placement, entry->arch);
       !st.ok())
     return error_response(nullptr, "", st);
@@ -917,9 +925,8 @@ std::vector<std::string> PredictionService::handle_pipeline(
           if (!p) {
             run.response = error_response(
                 &run.id, run.op,
-                InvalidArgumentError("cannot parse placement '" + *pstr +
-                                     "' for benchmark '" + pl.benchmark +
-                                     "'"));
+                placement_parse_error(*pstr, pl.benchmark,
+                                      (*entry)->bench.kernel));
             continue;
           }
           if (Status st = validate((*entry)->bench.kernel, *p, (*entry)->arch);

@@ -21,6 +21,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <poll.h>
@@ -96,10 +97,11 @@ inline bool send_all_bytes(int fd, std::string_view bytes) {
   return true;
 }
 
-// The script answered by a fresh service behind a SocketServer on
-// options.socket_path. Empty on any transport failure.
-inline std::vector<std::string> transcript_over_socket(
-    serve::ServerOptions options) {
+// `requests` answered by a fresh service behind a SocketServer on
+// options.socket_path, over one connection read until the server closes it
+// (so `requests` must end with a shutdown). Empty on any transport failure.
+inline std::vector<std::string> answers_over_socket(
+    serve::ServerOptions options, std::string_view requests) {
   serve::PredictionService service{serve::ServeOptions{}};
   serve::SocketServer server(service, options);
   if (!server.listen().ok()) return {};
@@ -108,7 +110,7 @@ inline std::vector<std::string> transcript_over_socket(
   std::vector<std::string> lines;
   const StatusOr<int> fd = serve::connect_unix(options.socket_path);
   if (fd.ok()) {
-    if (send_all_bytes(*fd, transcript_script()))
+    if (send_all_bytes(*fd, requests))
       lines = read_lines_until_eof(*fd, std::chrono::seconds(60));
     ::close(*fd);
   } else {
@@ -117,6 +119,12 @@ inline std::vector<std::string> transcript_over_socket(
   thread.join();
   if (rc != 0) lines.clear();
   return lines;
+}
+
+// The script answered by a fresh service behind a SocketServer.
+inline std::vector<std::string> transcript_over_socket(
+    serve::ServerOptions options) {
+  return answers_over_socket(std::move(options), transcript_script());
 }
 
 // `requests` answered by run_stdio over two pipes. The requests are written

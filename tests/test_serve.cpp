@@ -353,6 +353,41 @@ TEST(Serve, StdioReportsFailedReadsAndWrites) {
 // A pipelined batch of 100 mixed predict/search requests returns 100
 // well-formed responses in request order, with a nonzero cache hit-rate,
 // byte-identical for GPUHMS_THREADS=1/4/16.
+// An unparsable placement gets the same bytes whether its predict arrives
+// alone or behind a valid predict of the same benchmark, which coalesces the
+// two into one run — over stdio and over the socket.
+TEST(Serve, UnparsablePlacementAnswersAloneAndInARunAlike) {
+  const std::string bogus = predict_line(2, "triad", "bogus") + "\n";
+  const std::string run = predict_line(1, "triad", "G,G,G") + "\n" + bogus;
+  const std::string shutdown = R"({"id":3,"op":"shutdown"})" "\n";
+
+  serve::PredictionService alone_service{serve::ServeOptions{}};
+  const std::vector<std::string> alone =
+      testutil::run_stdio_over_pipes(alone_service, bogus);
+  ASSERT_EQ(alone.size(), 1u);
+  expect_error(alone[0], "INVALID_ARGUMENT");
+  EXPECT_NE(alone[0].find("(3 arrays; codes G,S,C,T,2T)"), std::string::npos)
+      << alone[0];
+
+  serve::PredictionService run_service{serve::ServeOptions{}};
+  const std::vector<std::string> in_run =
+      testutil::run_stdio_over_pipes(run_service, run);
+  ASSERT_EQ(in_run.size(), 2u);
+  EXPECT_EQ(in_run[1], alone[0]);
+
+  serve::ServerOptions options;
+  options.socket_path =
+      "/tmp/gpuhms_parse_error_" + std::to_string(::getpid()) + ".sock";
+  const std::vector<std::string> socket_alone =
+      testutil::answers_over_socket(options, bogus + shutdown);
+  ASSERT_EQ(socket_alone.size(), 2u);
+  EXPECT_EQ(socket_alone[0], alone[0]);
+  const std::vector<std::string> socket_run =
+      testutil::answers_over_socket(options, run + shutdown);
+  ASSERT_EQ(socket_run.size(), 3u);
+  EXPECT_EQ(socket_run[1], alone[0]);
+}
+
 std::vector<std::string> build_mixed_pipeline() {
   static const std::vector<std::string> spmv =
       legal_placement_strings("spmv", 24);
