@@ -17,7 +17,10 @@
 // predictor's shared skeleton and requires byte-identical cycles. A final
 // metrics-enabled pass (not timed) records the per-phase breakdown.
 //
-// Emits BENCH_search.json in the working directory for the perf trajectory.
+// Emits BENCH_search.json in the working directory for the perf trajectory,
+// stamped with the host's hardware_concurrency, the build type and the git
+// revision of the source tree (suffixed "-dirty" when it has uncommitted
+// changes).
 //
 // Usage: ./bench/bench_search_throughput [cap] [repeats]
 #include <algorithm>
@@ -27,6 +30,7 @@
 #include <cstring>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/obs.hpp"
@@ -84,6 +88,29 @@ Measurement run_variant(const Predictor& pred, const Variant& variant,
     m.wall_ms = std::min(m.wall_ms, now_ms() - t0);  // best-of-N
   }
   return m;
+}
+
+// First line of a shell command's output ("" when it fails or prints none).
+std::string command_line(const std::string& cmd) {
+  std::FILE* p = ::popen(cmd.c_str(), "r");
+  if (p == nullptr) return "";
+  char buf[256];
+  std::string out = std::fgets(buf, sizeof buf, p) != nullptr ? buf : "";
+  if (::pclose(p) != 0) return "";
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+    out.pop_back();
+  return out;
+}
+
+std::string git_rev() {
+  const std::string git = std::string("git -C '") + GPUHMS_SOURCE_DIR + "' ";
+  const std::string rev =
+      command_line(git + "rev-parse --short HEAD 2>/dev/null");
+  if (rev.empty()) return "unknown";
+  const bool dirty =
+      !command_line(git + "status --porcelain --untracked-files=no 2>/dev/null")
+           .empty();
+  return dirty ? rev + "-dirty" : rev;
 }
 
 bool same_bits(double a, double b) {
@@ -173,10 +200,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open BENCH_search.json\n");
     return 1;
   }
-  std::fprintf(json, "{\n  \"threads\": %d,\n  \"cap\": %zu,\n"
+  std::fprintf(json,
+               "{\n  \"hardware_concurrency\": %u,\n"
+               "  \"build_type\": \"%s\",\n  \"git_rev\": \"%s\",\n"
+               "  \"threads\": %d,\n  \"cap\": %zu,\n"
                "  \"frozen_baselines\": {\"cap\": %zu, \"hardware_concurrency\": 1,"
                " \"note\": \"last recorded walls of deleted code paths\"},\n"
-               "  \"workloads\": [\n", threads, cap, kFrozenCap);
+               "  \"workloads\": [\n",
+               std::thread::hardware_concurrency(), GPUHMS_BUILD_TYPE,
+               git_rev().c_str(), threads, cap, kFrozenCap);
 
   std::printf("search throughput (cap=%zu, %d threads, best of %d)\n\n", cap,
               threads, repeats);
