@@ -271,10 +271,8 @@ TraceSkeleton::StagingTable& TraceSkeleton::staging_table(
   auto t = std::make_unique<StagingTable>();
   t->line_size = line_size;
   t->num_banks = num_banks;
-  t->copies = std::make_unique<std::atomic<const StagingCopy*>[]>(num_arrays);
-  for (std::size_t a = 0; a < num_arrays; ++a) t->copies[a] = nullptr;
-  t->owned.resize(num_arrays);
-  t->build_mu = std::make_unique<std::mutex[]>(num_arrays);
+  t->mu = std::make_unique<std::mutex[]>(num_arrays);
+  t->copies.resize(num_arrays);
   staging_tables_.push_back(std::move(t));
   return *staging_tables_.back();
 }
@@ -285,12 +283,9 @@ const TraceSkeleton::StagingCopy& TraceSkeleton::staging_copy(
   GPUHMS_CHECK(&mat.kernel() == kernel_);
   StagingTable& table = staging_table(line_size, num_banks);
   const std::size_t a = static_cast<std::size_t>(array);
-  if (const StagingCopy* c = table.copies[a].load(std::memory_order_acquire))
-    return *c;
-  std::lock_guard<std::mutex> lock(table.build_mu[a]);
-  if (const StagingCopy* c = table.copies[a].load(std::memory_order_acquire))
-    return *c;
-  // Built into a local and published only once complete, so a build that
+  std::lock_guard<std::mutex> lock(table.mu[a]);
+  if (table.copies[a]) return *table.copies[a];
+  // Built into a local and stored only once complete, so a build that
   // throws leaves nothing behind.
   auto copy = std::make_unique<StagingCopy>();
   StagingCopy& c = *copy;
@@ -344,9 +339,8 @@ const TraceSkeleton::StagingCopy& TraceSkeleton::staging_copy(
     }
     c.load_begin.push_back(static_cast<std::uint32_t>(c.load_pc.size()));
   }
-  table.owned[a] = std::move(copy);
-  table.copies[a].store(table.owned[a].get(), std::memory_order_release);
-  return *table.owned[a];
+  table.copies[a] = std::move(copy);
+  return *table.copies[a];
 }
 
 std::span<const AddrBlock> TraceSkeleton::device_addr_pool(

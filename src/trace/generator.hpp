@@ -10,7 +10,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -252,17 +251,16 @@ class TraceSkeleton {
     std::vector<SharedFold> folds;  // per array
     std::unique_ptr<std::once_flag[]> once;
   };
-  // Staging copies are published through an atomic pointer after a build
-  // under a per-array mutex, not under call_once: a build that throws (an
+  // Staging copies build under their array's mutex (not call_once) into a
+  // local that is stored only once complete: a build that throws (an
   // injected trace.lower) leaves the slot empty and the next caller rebuilds
   // it from scratch, which call_once does not guarantee on every runtime
   // (ThreadSanitizer's hangs on the retry).
   struct StagingTable {
     std::size_t line_size = 0;
     int num_banks = 0;
-    std::unique_ptr<std::atomic<const StagingCopy*>[]> copies;  // per array
-    std::vector<std::unique_ptr<const StagingCopy>> owned;      // per array
-    std::unique_ptr<std::mutex[]> build_mu;                     // per array
+    std::unique_ptr<std::mutex[]> mu;  // per array, guards its copy
+    std::vector<std::unique_ptr<const StagingCopy>> copies;  // per array
   };
   LineTable& line_table(std::size_t line_size) const;
   FoldTable& fold_table(int num_banks) const;
