@@ -317,15 +317,15 @@ const TraceSkeleton::StagingCopy& TraceSkeleton::staging_copy(
       if (!is_store) ++c.load_insts;
       if (i + 1 < ops.size() && ops[i + 1].uses_prev) ++c.mem_chain_breaks;
       if (op.active_mask == 0) continue;
+      // A copy stores into shared memory and loads from global memory.
       if (op.space == MemSpace::Shared) {
+        GPUHMS_CHECK(is_store);
         ++c.shared_requests;
-        if (!is_store) ++c.shared_load_requests;
         c.shared_conflicts += static_cast<std::uint64_t>(
             shared_conflict_degree(op.active_mask, op.addr.data(), num_banks) -
             1);
         continue;
       }
-      // The off-chip side of a copy is its global loads.
       GPUHMS_CHECK(op.space == MemSpace::Global && !is_store);
       const int cnt = coalesce_lines_buf(op.active_mask, op.addr.data(),
                                          line_size, buf);

@@ -191,7 +191,6 @@ class TraceSkeleton {
     std::uint64_t mem_chain_breaks = 0;
     std::uint64_t addr_calc_insts = 0;
     std::uint64_t shared_requests = 0;
-    std::uint64_t shared_load_requests = 0;
     std::uint64_t shared_conflicts = 0;
     std::uint64_t global_requests = 0;
     std::uint64_t global_transactions = 0;

@@ -77,7 +77,6 @@ void SoaLowering::bind(const TraceMaterializer& mat,
     tallies_.mem_chain_breaks += c.mem_chain_breaks;
     tallies_.addr_calc_insts += c.addr_calc_insts;
     tallies_.shared_requests += c.shared_requests;
-    tallies_.shared_load_requests += c.shared_load_requests;
     tallies_.shared_conflicts += c.shared_conflicts;
     tallies_.global_requests += c.global_requests;
     tallies_.global_transactions += c.global_transactions;
